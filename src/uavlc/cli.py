@@ -47,7 +47,8 @@ def cmd_simulate(args):
     elif args.scheme == "random":
         policy = RandomPolicy(env, seed=args.seed)
     else:
-        agent = SacAgent.load(args.checkpoint, cfg)
+        agent = SacAgent.load(args.checkpoint, cfg, env.obs_dim,
+                               env.action_dim)
         policy = make_agent_policy(agent)
     obs = env.reset(seed=args.seed)
     while not env.done:
@@ -99,7 +100,8 @@ def cmd_eval(args):
     elif args.scheme == "random":
         policy = RandomPolicy(env, seed=args.seed)
     else:
-        agent = SacAgent.load(args.checkpoint, cfg)
+        agent = SacAgent.load(args.checkpoint, cfg, env.obs_dim,
+                               env.action_dim)
         policy = make_agent_policy(agent)
     stats = evaluate(env, policy, args.episodes, args.seed)
     for k, v in stats.items():

@@ -92,7 +92,6 @@ class SystemConfig:
     buffer_capacity: int = 100000
     reward_scale: float = 1e-3               # applied inside the learner only
     warmup_steps: int = 200                  # uniform-random action steps
-    target_actor_bootstrap: bool = False     # use target actor for a' if True
 
     # --- meta-learning ---
     inner_steps: int = 5

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,12 +165,18 @@ _FIELDS = ["scheme", "sweep_var", "sweep_value", "seed", "mean_p_tot",
            "mean_sum_rate", "mean_ee", "feasibility_fraction"]
 
 
-def _existing_keys(path: str) -> set:
+def _existing_keys(path: str, config_hash: str) -> set:
+    """Row keys already in the CSV; refuses a file of another config."""
     keys = set()
     if not os.path.exists(path):
         return keys
     with open(path) as f:
+        saved = re.match(r"# config_hash=(\S+)", f.readline())
         lines = [ln for ln in f if not ln.startswith("#")]
+    if saved is None or saved.group(1) != config_hash:
+        found = saved.group(1) if saved else "none"
+        raise ValueError(f"{path} holds rows of config hash {found}, not "
+                         f"{config_hash}; write this sweep to another file")
     for row in csv.DictReader(lines):
         keys.add((row["scheme"], row["sweep_var"],
                   repr(float(row["sweep_value"])), int(row["seed"])))
@@ -181,7 +188,7 @@ def run_experiment(spec: ExperimentSpec,
     """Run the sweep and append rows to the CSV (idempotent per row key)."""
     base_hash = cfg.config_hash()
     try:
-        existing = _existing_keys(spec.out_path)
+        existing = _existing_keys(spec.out_path, base_hash)
         new_file = not os.path.exists(spec.out_path)
         out = open(spec.out_path, "a", newline="")
     except OSError as e:

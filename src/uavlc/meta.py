@@ -13,8 +13,7 @@ import numpy as np
 
 from .config import SystemConfig
 from .env import Task, VlcUavEnv
-from .nets import Adam
-from .sac import ReplayBuffer, SacAgent
+from .sac import ReplayBuffer, SacAgent, read_checkpoint
 
 
 class MetaSac:
@@ -32,11 +31,7 @@ class MetaSac:
                     steps: int) -> SacAgent:
         """Adapt a copy of the global parameters on support data only."""
         adapted = self.agent.clone()
-        kw = dict(beta1=self.cfg.adam_beta1, beta2=self.cfg.adam_beta2,
-                  eps=self.cfg.adam_eps)
-        adapted.adam_actor = Adam(adapted.actor.params, self.cfg.lr_inner, **kw)
-        adapted.adam_q1 = Adam(adapted.q1.params, self.cfg.lr_inner, **kw)
-        adapted.adam_q2 = Adam(adapted.q2.params, self.cfg.lr_inner, **kw)
+        adapted.reset_optimizers(self.cfg.lr_inner)
         for _ in range(steps):
             idx = self.rng.choice(support_idx, size=self.cfg.batch_size,
                                   replace=len(support_idx) < self.cfg.batch_size)
@@ -50,30 +45,21 @@ class MetaSac:
         """One global ADAM step on the summed query losses (first order)."""
         if not adapted_agents:
             raise ValueError("need at least one adapted task")
-        sum_a = sum_1 = sum_2 = None
+        sums = None
         losses = {"actor": 0.0, "critic1": 0.0, "critic2": 0.0}
         for adapted, batch in zip(adapted_agents, query_batches):
             (g1, l1), (g2, l2) = adapted.critic_grads(batch)
             ga, la = adapted.actor_grads(batch)
-            if sum_a is None:
-                sum_a = [g.copy() for g in ga]
-                sum_1 = [g.copy() for g in g1]
-                sum_2 = [g.copy() for g in g2]
+            if sums is None:
+                sums = [ga, g1, g2]
             else:
-                for acc, g in zip(sum_a, ga):
-                    acc += g
-                for acc, g in zip(sum_1, g1):
-                    acc += g
-                for acc, g in zip(sum_2, g2):
-                    acc += g
+                sums[0] += ga
+                sums[1] += g1
+                sums[2] += g2
             losses["actor"] += la
             losses["critic1"] += l1
             losses["critic2"] += l2
-        g = self.agent
-        g.q1.set_params(g.adam_q1.step(g.q1.params, sum_1))
-        g.q2.set_params(g.adam_q2.step(g.q2.params, sum_2))
-        g.actor.set_params(g.adam_actor.step(g.actor.params, sum_a))
-        g.soft_update_targets()
+        self.agent.apply_grads(*sums)
         return losses
 
     # -- phases --
@@ -126,11 +112,7 @@ class MetaSac:
         cfg = self.cfg
         agent = self.agent.clone()
         agent.rng = np.random.default_rng([seed, 11])
-        kw = dict(beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
-                  eps=cfg.adam_eps)
-        agent.adam_actor = Adam(agent.actor.params, cfg.lr_actor, **kw)
-        agent.adam_q1 = Adam(agent.q1.params, cfg.lr_critic1, **kw)
-        agent.adam_q2 = Adam(agent.q2.params, cfg.lr_critic2, **kw)
+        agent.reset_optimizers()
         if episodes == 0:
             return agent
         env = VlcUavEnv(cfg, task)
@@ -153,21 +135,19 @@ class MetaSac:
 
     def save(self, path: str):
         self.agent.save(path, extra={"task_seeds": self.task_seeds,
-                                     "iteration": self.iteration})
+                                     "iteration": self.iteration,
+                                     "rng": self.rng.bit_generator.state})
 
     @classmethod
     def load(cls, path: str, cfg: SystemConfig) -> "MetaSac":
-        import json
-
-        import numpy as _np
-        agent = SacAgent.load(path, cfg)
-        data = _np.load(path)
-        header = json.loads(bytes(data["header"]).decode())
+        arrays, header = read_checkpoint(path)
         meta = cls.__new__(cls)
         meta.cfg = cfg
-        meta.agent = agent
-        meta.rng = np.random.default_rng(0)
+        meta.agent = SacAgent.restore(arrays, header, cfg)
         extra = header.get("extra", {})
+        meta.rng = np.random.default_rng(0)
+        if "rng" in extra:
+            meta.rng.bit_generator.state = extra["rng"]
         meta.task_seeds = list(extra.get("task_seeds", []))
         meta.iteration = int(extra.get("iteration", 0))
         return meta

@@ -3,6 +3,12 @@
 tanh hidden layers, linear output. Gradients are exact and are validated
 against central finite differences in the test suite; keep any change here
 in sync with those checks.
+
+Each network owns one contiguous float64 vector `flat` holding w0, b0, w1,
+b1, ... in order; `weights[i]` and `biases[i]` are views into it. That
+vector is the one place the parameter layout lives: gradients, optimizer
+moments, Polyak averaging, cloning and checkpoints all act on whole vectors
+aligned with it.
 """
 
 from __future__ import annotations
@@ -18,44 +24,44 @@ class Mlp:
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
         self.sizes = list(sizes)
-        self.weights = []
-        self.biases = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        n_params = sum((fan_in + 1) * fan_out
+                       for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+        self.flat = np.zeros(n_params)
+        self.weights, self.biases = self._layer_views(self.flat)
+        for w, fan_in in zip(self.weights, sizes[:-1]):
             scale = 1.0 / np.sqrt(fan_in)
-            self.weights.append(rng.uniform(-scale, scale, (fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
+            w[...] = rng.uniform(-scale, scale, w.shape)
+
+    def _layer_views(self, vec: np.ndarray):
+        """Per-layer (weight, bias) views into a vector aligned with `flat`."""
+        weights, biases = [], []
+        offset = 0
+        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
+            weights.append(vec[offset:offset + fan_in * fan_out]
+                           .reshape(fan_in, fan_out))
+            offset += fan_in * fan_out
+            biases.append(vec[offset:offset + fan_out])
+            offset += fan_out
+        return weights, biases
 
     # -- parameter plumbing --
 
     @property
     def params(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend([w, b])
-        return out
-
-    def set_params(self, params: list[np.ndarray]):
-        it = iter(params)
-        for i in range(len(self.weights)):
-            self.weights[i] = next(it).copy()
-            self.biases[i] = next(it).copy()
+        """Per-layer views in `flat` order: w0, b0, w1, b1, ..."""
+        return [p for wb in zip(self.weights, self.biases) for p in wb]
 
     def get_flat(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.params])
+        return self.flat.copy()
 
     def set_flat(self, flat: np.ndarray):
-        offset = 0
-        new = []
-        for p in self.params:
-            new.append(flat[offset:offset + p.size].reshape(p.shape))
-            offset += p.size
-        self.set_params(new)
+        self.flat[:] = flat
 
     def clone(self) -> "Mlp":
         other = Mlp.__new__(Mlp)
         other.sizes = list(self.sizes)
-        other.weights = [w.copy() for w in self.weights]
-        other.biases = [b.copy() for b in self.biases]
+        other.flat = self.flat.copy()
+        other.weights, other.biases = other._layer_views(other.flat)
         return other
 
     # -- forward / backward --
@@ -76,66 +82,52 @@ class Mlp:
     def backward(self, cache, grad_out: np.ndarray):
         """Gradients of a scalar loss given d(loss)/d(output).
 
-        Returns (param_grads aligned with .params, d(loss)/d(input)).
+        Returns (parameter gradient aligned with .flat, d(loss)/d(input)).
         """
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
+        grad = np.empty_like(self.flat)
+        grads_w, grads_b = self._layer_views(grad)
         delta = np.atleast_2d(grad_out)
         for i in reversed(range(len(self.weights))):
-            a_in = cache[i]
-            grads_w[i] = a_in.T @ delta
-            grads_b[i] = delta.sum(axis=0)
+            grads_w[i][...] = cache[i].T @ delta
+            grads_b[i][...] = delta.sum(axis=0)
             delta = delta @ self.weights[i].T
             if i > 0:
                 delta = delta * (1.0 - cache[i] ** 2)
-        out = []
-        for gw, gb in zip(grads_w, grads_b):
-            out.extend([gw, gb])
-        return out, delta
+        return grad, delta
 
 
 class Adam:
-    """Bias-corrected adaptive-moment update over a list of parameters."""
+    """Bias-corrected adaptive-moment update of one parameter vector."""
 
-    def __init__(self, params_like, lr: float, beta1: float = 0.9,
+    def __init__(self, params_like: np.ndarray, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params_like]
-        self.v = [np.zeros_like(p) for p in params_like]
+        self.m = np.zeros_like(params_like)
+        self.v = np.zeros_like(params_like)
 
-    def step(self, params: list[np.ndarray],
-             grads: list[np.ndarray]) -> list[np.ndarray]:
-        if len(params) != len(grads):
+    def step(self, params: np.ndarray, grads: np.ndarray):
+        """Update `params` in place."""
+        if params.shape != grads.shape or params.shape != self.m.shape:
             raise ValueError("params/grads length mismatch")
         self.t += 1
-        out = []
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            m_hat = self.m[i] / bc1
-            v_hat = self.v[i] / bc2
-            out.append(p - self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
-        return out
-
-    def state(self) -> dict:
-        return {"t": self.t, "m": self.m, "v": self.v}
-
-    def load_state(self, state: dict):
-        self.t = int(state["t"])
-        self.m = [np.array(a) for a in state["m"]]
-        self.v = [np.array(a) for a in state["v"]]
+        self.m *= self.beta1
+        self.m += (1 - self.beta1) * grads
+        self.v *= self.beta2
+        self.v += (1 - self.beta2) * grads * grads
+        params -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2)
+                                              + self.eps)
 
     def clone(self) -> "Adam":
-        other = Adam([np.zeros(0)], self.lr, self.beta1, self.beta2, self.eps)
+        other = Adam(self.m, self.lr, self.beta1, self.beta2, self.eps)
         other.t = self.t
-        other.m = [m.copy() for m in self.m]
-        other.v = [v.copy() for v in self.v]
+        other.m = self.m.copy()
+        other.v = self.v.copy()
         return other
 
 
@@ -143,12 +135,8 @@ def soft_update(target: Mlp, online: Mlp, coefficient: float):
     """Polyak averaging: target <- (1 - c) target + c online."""
     if target.sizes != online.sizes:
         raise ValueError("network shape mismatch")
-    for tw, ow in zip(target.weights, online.weights):
-        tw *= (1.0 - coefficient)
-        tw += coefficient * ow
-    for tb, ob in zip(target.biases, online.biases):
-        tb *= (1.0 - coefficient)
-        tb += coefficient * ob
+    target.flat *= (1.0 - coefficient)
+    target.flat += coefficient * online.flat
 
 
 def squash_log_std(raw: np.ndarray) -> np.ndarray:

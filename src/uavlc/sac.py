@@ -3,8 +3,6 @@
 Squashed-Gaussian policy, twin critics with Polyak-averaged targets, and
 ADAM updates computed from exact manual gradients. Rewards are scaled by a
 constant inside the learner only; buffers and traces keep raw values.
-A target actor is maintained for parity with the two target critics but is
-used for bootstrapping only when explicitly enabled.
 """
 
 from __future__ import annotations
@@ -18,7 +16,9 @@ from .nets import (Adam, Mlp, soft_update, squash_log_std,
                    squash_log_std_grad)
 
 TANH_EPS = 1e-6
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+NETS = ("actor", "q1", "q2", "tq1", "tq2")
+OPTIMIZERS = ("adam_actor", "adam_q1", "adam_q2")
 
 
 class ReplayBuffer:
@@ -116,12 +116,8 @@ def policy_sample(actor: Mlp, obs: np.ndarray, rng: np.random.Generator,
                   deterministic: bool = False):
     """Sample an action in (-1, 1)^A and its log-probability."""
     obs = np.atleast_2d(obs)
-    out, _ = actor.forward(obs)
-    act_dim = out.shape[1] // 2
-    if deterministic:
-        xi = np.zeros((obs.shape[0], act_dim))
-    else:
-        xi = rng.standard_normal((obs.shape[0], act_dim))
+    shape = (obs.shape[0], actor.sizes[-1] // 2)
+    xi = np.zeros(shape) if deterministic else rng.standard_normal(shape)
     fw = gaussian_policy_forward(actor, obs, xi)
     return fw["action"], fw["logp"]
 
@@ -137,14 +133,19 @@ class SacAgent:
         self.actor = Mlp([obs_dim] + hidden + [2 * act_dim], self.rng)
         self.q1 = Mlp([obs_dim + act_dim] + hidden + [1], self.rng)
         self.q2 = Mlp([obs_dim + act_dim] + hidden + [1], self.rng)
-        self.target_actor = self.actor.clone()
         self.tq1 = self.q1.clone()
         self.tq2 = self.q2.clone()
-        kw = dict(beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
-                  eps=cfg.adam_eps)
-        self.adam_actor = Adam(self.actor.params, cfg.lr_actor, **kw)
-        self.adam_q1 = Adam(self.q1.params, cfg.lr_critic1, **kw)
-        self.adam_q2 = Adam(self.q2.params, cfg.lr_critic2, **kw)
+        self.reset_optimizers()
+
+    def reset_optimizers(self, lr: float | None = None):
+        """Fresh ADAM state; one learning rate for all three, or the cfg's."""
+        cfg = self.cfg
+        rates = ((cfg.lr_actor, cfg.lr_critic1, cfg.lr_critic2)
+                 if lr is None else (lr, lr, lr))
+        for name, net, rate in zip(OPTIMIZERS, (self.actor, self.q1, self.q2),
+                                   rates):
+            setattr(self, name, Adam(net.flat, rate, beta1=cfg.adam_beta1,
+                                     beta2=cfg.adam_beta2, eps=cfg.adam_eps))
 
     # -- acting --
 
@@ -160,11 +161,9 @@ class SacAgent:
         """y = r + gamma (1 - done) [min(Q'_1, Q'_2)(s', a') - lambda log pi]."""
         cfg = self.cfg
         next_obs = np.atleast_2d(next_obs)
-        bootstrap_actor = (self.target_actor if cfg.target_actor_bootstrap
-                           else self.actor)
         if xi is None:
             xi = self.rng.standard_normal((next_obs.shape[0], self.act_dim))
-        fw = gaussian_policy_forward(bootstrap_actor, next_obs, xi)
+        fw = gaussian_policy_forward(self.actor, next_obs, xi)
         qin = np.concatenate([next_obs, fw["action"]], axis=1)
         q_min = np.minimum(self.tq1(qin)[:, 0], self.tq2(qin)[:, 0])
         soft_v = q_min - cfg.entropy_weight * fw["logp"]
@@ -211,32 +210,19 @@ class SacAgent:
 
     # -- updates --
 
-    def soft_update_targets(self):
-        c = self.cfg.polyak
-        soft_update(self.target_actor, self.actor, c)
-        soft_update(self.tq1, self.q1, c)
-        soft_update(self.tq2, self.q2, c)
-
-    def update_critics(self, batch: dict):
-        (g1, l1), (g2, l2) = self.critic_grads(batch)
-        self.q1.set_params(self.adam_q1.step(self.q1.params, g1))
-        self.q2.set_params(self.adam_q2.step(self.q2.params, g2))
-        self.soft_update_targets()
-        return l1, l2
-
-    def update_actor(self, batch: dict):
-        grads, loss = self.actor_grads(batch)
-        self.actor.set_params(self.adam_actor.step(self.actor.params, grads))
-        return loss
+    def apply_grads(self, ga, g1, g2):
+        """One ADAM step of each network, then the Polyak target update."""
+        self.adam_q1.step(self.q1.flat, g1)
+        self.adam_q2.step(self.q2.flat, g2)
+        self.adam_actor.step(self.actor.flat, ga)
+        soft_update(self.tq1, self.q1, self.cfg.polyak)
+        soft_update(self.tq2, self.q2, self.cfg.polyak)
 
     def update(self, batch: dict):
         """One simultaneous SAC step: both grads at current parameters."""
         (g1, l1), (g2, l2) = self.critic_grads(batch)
         ga, la = self.actor_grads(batch)
-        self.q1.set_params(self.adam_q1.step(self.q1.params, g1))
-        self.q2.set_params(self.adam_q2.step(self.q2.params, g2))
-        self.actor.set_params(self.adam_actor.step(self.actor.params, ga))
-        self.soft_update_targets()
+        self.apply_grads(ga, g1, g2)
         return la, l1, l2
 
     # -- cloning and checkpoints --
@@ -248,31 +234,21 @@ class SacAgent:
         other.act_dim = self.act_dim
         other.rng = np.random.default_rng()
         other.rng.bit_generator.state = self.rng.bit_generator.state
-        for name in ("actor", "q1", "q2", "target_actor", "tq1", "tq2"):
-            setattr(other, name, getattr(self, name).clone())
-        for name in ("adam_actor", "adam_q1", "adam_q2"):
+        for name in NETS + OPTIMIZERS:
             setattr(other, name, getattr(self, name).clone())
         return other
 
-    def _net_map(self) -> dict:
-        return {"actor": self.actor, "q1": self.q1, "q2": self.q2,
-                "target_actor": self.target_actor, "tq1": self.tq1,
-                "tq2": self.tq2}
-
     def save(self, path: str, extra: dict | None = None):
-        arrays = {}
-        for name, net in self._net_map().items():
-            for i, p in enumerate(net.params):
-                arrays[f"{name}_{i}"] = p
-        for name in ("adam_actor", "adam_q1", "adam_q2"):
+        arrays = {name: getattr(self, name).flat for name in NETS}
+        for name in OPTIMIZERS:
             adam = getattr(self, name)
             arrays[f"{name}_t"] = np.array(adam.t)
-            for i, (m, v) in enumerate(zip(adam.m, adam.v)):
-                arrays[f"{name}_m{i}"] = m
-                arrays[f"{name}_v{i}"] = v
+            arrays[f"{name}_m"] = adam.m
+            arrays[f"{name}_v"] = adam.v
         header = {"version": CHECKPOINT_VERSION, "obs_dim": self.obs_dim,
                   "act_dim": self.act_dim,
-                  "hidden_sizes": list(self.cfg.hidden_sizes)}
+                  "hidden_sizes": list(self.cfg.hidden_sizes),
+                  "rng": self.rng.bit_generator.state}
         if extra:
             header["extra"] = extra
         arrays["header"] = np.frombuffer(
@@ -280,22 +256,45 @@ class SacAgent:
         np.savez(path, **arrays)
 
     @classmethod
-    def load(cls, path: str, cfg: SystemConfig) -> "SacAgent":
-        data = np.load(path)
-        header = json.loads(bytes(data["header"]).decode())
-        if header["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version "
-                             f"{header['version']}")
+    def load(cls, path: str, cfg: SystemConfig, obs_dim: int | None = None,
+             act_dim: int | None = None) -> "SacAgent":
+        return cls.restore(*read_checkpoint(path), cfg, obs_dim, act_dim)
+
+    @classmethod
+    def restore(cls, arrays: dict, header: dict, cfg: SystemConfig,
+                obs_dim: int | None = None,
+                act_dim: int | None = None) -> "SacAgent":
+        """Rebuild a saved agent under `cfg`.
+
+        The saved hidden sizes must match the config's, and the saved
+        dimensions must match `obs_dim`/`act_dim` where those are given.
+        """
+        for key, want in (("obs_dim", obs_dim), ("act_dim", act_dim),
+                          ("hidden_sizes", list(cfg.hidden_sizes))):
+            if want is not None and header[key] != want:
+                raise ValueError(f"checkpoint {key} {header[key]} does not "
+                                 f"match the expected {want}")
         agent = cls(header["obs_dim"], header["act_dim"], cfg)
-        for name, net in agent._net_map().items():
-            net.set_params([data[f"{name}_{i}"]
-                            for i in range(len(net.params))])
-        for name in ("adam_actor", "adam_q1", "adam_q2"):
+        for name in NETS:
+            getattr(agent, name).flat[:] = arrays[name]
+        for name in OPTIMIZERS:
             adam = getattr(agent, name)
-            adam.t = int(data[f"{name}_t"])
-            adam.m = [data[f"{name}_m{i}"] for i in range(len(adam.m))]
-            adam.v = [data[f"{name}_v{i}"] for i in range(len(adam.v))]
+            adam.t = int(arrays[f"{name}_t"])
+            adam.m[:] = arrays[f"{name}_m"]
+            adam.v[:] = arrays[f"{name}_v"]
+        agent.rng.bit_generator.state = header["rng"]
         return agent
+
+
+def read_checkpoint(path: str) -> tuple[dict, dict]:
+    """The arrays and the JSON header of a checkpoint file."""
+    with np.load(path) as data:
+        arrays = dict(data)
+    header = json.loads(bytes(arrays.pop("header")).decode())
+    if header["version"] != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version "
+                         f"{header['version']}")
+    return arrays, header
 
 
 def run_episode(env, policy, buffer: ReplayBuffer | None = None,

@@ -80,6 +80,17 @@ def test_run_experiment_rows_regenerate_bit_identically(tmp_path):
     assert p1.read_text() == p2.read_text()
 
 
+def test_run_experiment_refuses_a_csv_of_another_config(tmp_path):
+    cfg = small_config()
+    path = tmp_path / "rows.csv"
+    spec = micro_spec(path, schemes=("random",))
+    run_experiment(spec, cfg)
+    content = path.read_text()
+    with pytest.raises(ValueError, match="config hash"):
+        run_experiment(spec, cfg.replace(p_max=3 * cfg.p_max))
+    assert path.read_text() == content
+
+
 def test_greedy_scheme_through_harness(tmp_path):
     cfg = small_config(r_min=0.01, noise_var=1e-22)
     path = tmp_path / "g.csv"

@@ -34,11 +34,11 @@ def test_inner_adapt_never_mutates_global_parameters():
     buf = filled_buffer(probe, 40)
     before = [n.get_flat().copy() for n in
               (meta.agent.actor, meta.agent.q1, meta.agent.q2,
-               meta.agent.target_actor, meta.agent.tq1, meta.agent.tq2)]
+               meta.agent.tq1, meta.agent.tq2)]
     adapted = meta.inner_adapt(buf, np.arange(len(buf)), steps=3)
     after = [n.get_flat() for n in
              (meta.agent.actor, meta.agent.q1, meta.agent.q2,
-              meta.agent.target_actor, meta.agent.tq1, meta.agent.tq2)]
+              meta.agent.tq1, meta.agent.tq2)]
     for b, a in zip(before, after):
         assert np.array_equal(b, a)
     # the adapted copy did move
@@ -56,7 +56,7 @@ def test_outer_update_degenerates_to_plain_sac_step():
     adapted = meta.inner_adapt(buf, np.arange(len(buf)), steps=0)
     meta.outer_update([adapted], [batch])
     plain.update(batch)
-    for name in ("actor", "q1", "q2", "target_actor", "tq1", "tq2"):
+    for name in ("actor", "q1", "q2", "tq1", "tq2"):
         assert np.array_equal(getattr(meta.agent, name).get_flat(),
                               getattr(plain, name).get_flat()), name
 
@@ -109,3 +109,15 @@ def test_meta_checkpoint_round_trip(tmp_path):
     assert loaded.task_seeds == meta.task_seeds
     assert np.array_equal(loaded.agent.actor.get_flat(),
                           meta.agent.actor.get_flat())
+
+
+def test_meta_checkpoint_resumes_both_generators(tmp_path):
+    cfg, probe, meta = meta_setup(warmup_steps=5)
+    rng = np.random.default_rng(6)
+    meta.meta_train(lambda: sample_task(cfg, rng), iterations=1)
+    path = str(tmp_path / "meta.npz")
+    meta.save(path)
+    loaded = MetaSac.load(path, cfg)
+    assert loaded.rng.integers(2 ** 31) == meta.rng.integers(2 ** 31)
+    obs = np.zeros(probe.obs_dim)
+    assert np.array_equal(loaded.agent.act(obs), meta.agent.act(obs))

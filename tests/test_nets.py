@@ -69,30 +69,28 @@ def test_mlp_flat_round_trip_and_clone_independence():
 
 def test_adam_matches_reference_implementation():
     rng = np.random.default_rng(3)
-    p = [rng.standard_normal((3, 2)), rng.standard_normal(3)]
+    p = rng.standard_normal(9)
     adam = Adam(p, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
     # independent reference loop
-    m = [np.zeros_like(a) for a in p]
-    v = [np.zeros_like(a) for a in p]
-    ref = [a.copy() for a in p]
-    cur = [a.copy() for a in p]
+    m = np.zeros_like(p)
+    v = np.zeros_like(p)
+    ref = p.copy()
+    cur = p.copy()
     for t in range(1, 6):
-        grads = [rng.standard_normal(a.shape) for a in p]
-        cur = adam.step(cur, grads)
-        for i, g in enumerate(grads):
-            m[i] = 0.9 * m[i] + 0.1 * g
-            v[i] = 0.999 * v[i] + 0.001 * g * g
-            mh = m[i] / (1 - 0.9 ** t)
-            vh = v[i] / (1 - 0.999 ** t)
-            ref[i] = ref[i] - 0.01 * mh / (np.sqrt(vh) + 1e-8)
-    for a, b in zip(cur, ref):
-        assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
+        g = rng.standard_normal(p.shape)
+        adam.step(cur, g)
+        m = 0.9 * m + 0.1 * g
+        v = 0.999 * v + 0.001 * g * g
+        mh = m / (1 - 0.9 ** t)
+        vh = v / (1 - 0.999 ** t)
+        ref = ref - 0.01 * mh / (np.sqrt(vh) + 1e-8)
+    assert np.allclose(cur, ref, rtol=1e-12, atol=1e-14)
 
 
 def test_adam_rejects_mismatched_grads():
-    adam = Adam([np.zeros(2)], lr=0.1)
+    adam = Adam(np.zeros(2), lr=0.1)
     with pytest.raises(ValueError):
-        adam.step([np.zeros(2)], [np.zeros(2), np.zeros(2)])
+        adam.step(np.zeros(2), np.zeros(4))
 
 
 def test_soft_update_convex_combination():

@@ -1,10 +1,13 @@
 """SAC core: replay buffer, exact gradients, checkpoints, training loop."""
 
+import json
+
 import numpy as np
 import pytest
 
 from uavlc import ReplayBuffer, SacAgent, run_episode, train_sac
 from uavlc.baselines import RandomPolicy
+from uavlc.nets import Mlp
 from uavlc.sac import gaussian_policy_forward
 
 from conftest import small_config
@@ -173,12 +176,60 @@ def test_checkpoint_round_trip(tmp_path):
     path = str(tmp_path / "agent.npz")
     agent.save(path)
     loaded = SacAgent.load(path, cfg)
-    for name in ("actor", "q1", "q2", "target_actor", "tq1", "tq2"):
+    for name in ("actor", "q1", "q2", "tq1", "tq2"):
         assert np.array_equal(getattr(agent, name).get_flat(),
                               getattr(loaded, name).get_flat())
     assert loaded.adam_actor.t == agent.adam_actor.t
     for m1, m2 in zip(agent.adam_q1.m, loaded.adam_q1.m):
         assert np.array_equal(m1, m2)
+
+
+def test_loaded_agent_draws_the_same_next_action(tmp_path):
+    agent, cfg = small_agent(seed=8)
+    obs = np.zeros(5)
+    agent.act(obs)
+    path = str(tmp_path / "agent.npz")
+    agent.save(path)
+    loaded = SacAgent.load(path, cfg)
+    assert np.array_equal(loaded.act(obs), agent.act(obs))
+
+
+def test_checkpoint_refuses_other_shapes_and_versions(tmp_path):
+    agent, cfg = small_agent(seed=9)
+    path = str(tmp_path / "agent.npz")
+    agent.save(path)
+    with pytest.raises(ValueError, match="hidden_sizes"):
+        SacAgent.load(path, cfg.replace(hidden_sizes=(32,)))
+    with pytest.raises(ValueError, match="obs_dim"):
+        SacAgent.load(path, cfg, obs_dim=6, act_dim=2)
+    with pytest.raises(ValueError, match="act_dim"):
+        SacAgent.load(path, cfg, obs_dim=5, act_dim=3)
+    SacAgent.load(path, cfg, obs_dim=5, act_dim=2)
+    with np.load(path) as f:
+        arrays = dict(f)
+    header = json.loads(bytes(arrays["header"]).decode())
+    header["version"] = 1
+    arrays["header"] = np.frombuffer(json.dumps(header).encode(),
+                                     dtype=np.uint8)
+    old = str(tmp_path / "v1.npz")
+    np.savez(old, **arrays)
+    with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+        SacAgent.load(old, cfg)
+
+
+def test_act_runs_the_actor_forward_once(monkeypatch):
+    agent, _ = small_agent(seed=10)
+    calls = []
+    forward = Mlp.forward
+
+    def counting(net, x):
+        calls.append(net)
+        return forward(net, x)
+
+    monkeypatch.setattr(Mlp, "forward", counting)
+    agent.act(np.zeros(5))
+    agent.act(np.zeros(5), deterministic=True)
+    assert calls == [agent.actor, agent.actor]
 
 
 def test_run_episode_fills_buffer(env):
