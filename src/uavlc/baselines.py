@@ -7,6 +7,12 @@ columns along each user's estimated channel with power-cascade norms, then
 bisect a common scale to the smallest value meeting the rate floor on
 estimated channels (capped at the dynamic-range bound). Flight: clamped
 max velocity toward the user centroid, reserving slots to return home.
+
+The power-cascade fixed point runs on Python floats: its ratio matrix is
+formed once with numpy, and its sums run left to right, which equals
+numpy's own sum bit for bit below 8 terms (numpy sums longer runs in 8-way
+pairwise blocks). The bisection stops once a midpoint rounds onto an end of
+its bracket, from where every further step would repeat itself.
 """
 
 from __future__ import annotations
@@ -61,33 +67,38 @@ def noma_cascade_amplitudes(gains: np.ndarray, r_min: float,
     be capped at the dynamic-range bound downstream). Zero-gain users get
     zero: their floor is unreachable regardless of power.
     """
-    gamma = 2.0 ** r_min - 1.0
+    gamma = float(2.0 ** r_min - 1.0)
     served = np.flatnonzero(gains > 0.0)
     e2 = np.zeros(gains.shape[0])
     if served.size == 0:
         return e2
     order = served[np.argsort(gains[served], kind="stable")]
-    e2[order] = gamma * noise_var
+    g = gains[order]
+    # ratio[p][j] = (g_p / g_j)^2 over positions in decoding order
+    ratio = ((g[:, None] / g[None, :]) ** 2).tolist()
+    noise_var = float(noise_var)
+    n = order.size
+    e = [gamma * noise_var] * n
     cap = gamma * noise_var * 1e12
     for _ in range(max_iters):
         changed = False
-        for pos in range(order.size - 1, -1, -1):
-            k = order[pos]
-            later = order[pos + 1:]
-            interference = float(np.sum(e2[later]
-                                        * (gains[k] / gains[later]) ** 2))
+        for pos in range(n - 1, -1, -1):
+            row = ratio[pos]
+            interference = 0.0
+            for j in range(pos + 1, n):
+                interference += e[j] * row[j]
             req = gamma * (interference + noise_var)
-            if req > e2[k] * (1.0 + 1e-12):
-                e2[k] = req
+            if req > e[pos] * (1.0 + 1e-12):
+                e[pos] = req
                 changed = True
-        for pos in range(1, order.size):
-            k, prev = order[pos], order[pos - 1]
-            floor = e2[prev] * (1.0 + order_margin)
-            if e2[k] < floor:
-                e2[k] = floor
+        for pos in range(1, n):
+            floor = e[pos - 1] * (1.0 + order_margin)
+            if e[pos] < floor:
+                e[pos] = floor
                 changed = True
-        if not changed or e2[order[-1]] > cap:
+        if not changed or e[-1] > cap:
             break
+    e2[order] = e
     return np.sqrt(e2)
 
 
@@ -124,13 +135,14 @@ def cascade_beamformer(h_est: np.ndarray, selection: LedSelection,
     if t_cap <= 1.0:
         return w * t_cap
 
+    served = eff_gain > 0.0
+    floor = r_target * (1.0 - 1e-9)
+
     def meets_floor(t: float) -> bool:
         wt = w * t
         order = order_users(h_est, wt, selection)
-        rr = per_user_rate(h_est, wt, selection,
-                           np.full(k_users, noise_var), order)
-        served = eff_gain > 0.0
-        return bool(np.all(rr.rates[served] >= r_target * (1.0 - 1e-9)))
+        rr = per_user_rate(h_est, wt, selection, noise_var, order)
+        return bool((rr.rates[served] >= floor).all())
 
     lo, hi = 0.0, min(1.0 + 1e-9, t_cap)
     if not meets_floor(hi):
@@ -139,6 +151,10 @@ def cascade_beamformer(h_est: np.ndarray, selection: LedSelection,
             return w * t_cap
     for _ in range(bisect_iters):
         mid = 0.5 * (lo + hi)
+        # hi has passed and lo (0, or a checked point) has failed, so a
+        # midpoint that rounds onto either leaves the bracket unchanged
+        if mid == lo or mid == hi:
+            break
         if meets_floor(mid):
             hi = mid
         else:

@@ -3,6 +3,13 @@
 Users decode in ascending order of effective gain |h_k^H A w_k|^2; each user
 is interfered only by users later (stronger) in that order. Energy
 efficiency is the sum rate over total consumed power.
+
+`per_user_rate` is the one SINR loop: the feasibility report and the greedy
+bisection both call it, many times per slot. It forms the cross-gain matrix
+with numpy and sums the interference over Python floats, left to right,
+which equals numpy's own sum bit for bit below 8 terms (numpy sums longer
+runs in 8-way pairwise blocks). The logarithm stays one vector `np.log2`:
+`math.log2` differs from it in the last bit on some inputs.
 """
 
 from __future__ import annotations
@@ -63,21 +70,30 @@ def order_users(h: np.ndarray, w: np.ndarray,
 
 
 def per_user_rate(h: np.ndarray, w: np.ndarray, selection: LedSelection,
-                  noise_var: np.ndarray, order: np.ndarray) -> RateReport:
-    """Per-user NOMA rate with interference from later-ordered users."""
-    noise_var = np.broadcast_to(np.asarray(noise_var, dtype=float),
-                                (h.shape[1],))
-    masked = w * selection.a[:, None]
-    # cross[k, i] = |h_k^H A w_i|^2
-    cross = (h.T @ masked) ** 2
+                  noise_var: float | np.ndarray,
+                  order: np.ndarray) -> RateReport:
+    """Per-user NOMA rate with interference from later-ordered users.
+
+    noise_var is one variance for every user or one per user.
+    """
+    order = np.asarray(order)
     k_users = h.shape[1]
-    rates = np.zeros(k_users)
-    for pos, k in enumerate(order):
-        later = order[pos + 1:]
-        interference = cross[k, later].sum() if later.size else 0.0
-        sinr = cross[k, k] / (interference + noise_var[k])
-        rates[k] = np.log2(1.0 + sinr)
-    return RateReport(rates=rates, order=np.asarray(order))
+    noise = np.full(k_users, noise_var, dtype=float).tolist()
+    masked = w * selection.a[:, None]
+    # cross[k][i] = |h_k^H A w_i|^2
+    cross = ((h.T @ masked) ** 2).tolist()
+    ks = order.tolist()
+    signal = [0.0] * k_users
+    denom = [1.0] * k_users
+    for pos, k in enumerate(ks):
+        row = cross[k]
+        interference = 0.0
+        for i in ks[pos + 1:]:
+            interference += row[i]
+        signal[k] = row[k]
+        denom[k] = interference + noise[k]
+    sinr = np.divide(signal, denom)
+    return RateReport(rates=np.log2(1.0 + sinr), order=order)
 
 
 def total_power(w: np.ndarray, selection: LedSelection, i_dc: float,

@@ -16,7 +16,7 @@ from .nets import (Adam, Mlp, soft_update, squash_log_std,
                    squash_log_std_grad)
 
 TANH_EPS = 1e-6
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 NETS = ("actor", "q1", "q2", "tq1", "tq2")
 OPTIMIZERS = ("adam_actor", "adam_q1", "adam_q2")
 
@@ -227,15 +227,26 @@ class SacAgent:
 
     # -- cloning and checkpoints --
 
-    def clone(self) -> "SacAgent":
+    def clone(self, fresh_optimizers: bool = False,
+              lr: float | None = None) -> "SacAgent":
+        """Deep copy with the same RNG state.
+
+        The ADAM states are copied too, or, with `fresh_optimizers`, built
+        anew by `reset_optimizers(lr)` without copying the old moments.
+        """
         other = SacAgent.__new__(SacAgent)
         other.cfg = self.cfg
         other.obs_dim = self.obs_dim
         other.act_dim = self.act_dim
         other.rng = np.random.default_rng()
         other.rng.bit_generator.state = self.rng.bit_generator.state
-        for name in NETS + OPTIMIZERS:
+        for name in NETS:
             setattr(other, name, getattr(self, name).clone())
+        if fresh_optimizers:
+            other.reset_optimizers(lr)
+        else:
+            for name in OPTIMIZERS:
+                setattr(other, name, getattr(self, name).clone())
         return other
 
     def save(self, path: str, extra: dict | None = None):
@@ -248,6 +259,7 @@ class SacAgent:
         header = {"version": CHECKPOINT_VERSION, "obs_dim": self.obs_dim,
                   "act_dim": self.act_dim,
                   "hidden_sizes": list(self.cfg.hidden_sizes),
+                  "config_hash": self.cfg.config_hash(),
                   "rng": self.rng.bit_generator.state}
         if extra:
             header["extra"] = extra
@@ -266,11 +278,13 @@ class SacAgent:
                 act_dim: int | None = None) -> "SacAgent":
         """Rebuild a saved agent under `cfg`.
 
-        The saved hidden sizes must match the config's, and the saved
-        dimensions must match `obs_dim`/`act_dim` where those are given.
+        The saved hidden sizes and config hash must match the config's, and
+        the saved dimensions must match `obs_dim`/`act_dim` where those are
+        given.
         """
         for key, want in (("obs_dim", obs_dim), ("act_dim", act_dim),
-                          ("hidden_sizes", list(cfg.hidden_sizes))):
+                          ("hidden_sizes", list(cfg.hidden_sizes)),
+                          ("config_hash", cfg.config_hash())):
             if want is not None and header[key] != want:
                 raise ValueError(f"checkpoint {key} {header[key]} does not "
                                  f"match the expected {want}")

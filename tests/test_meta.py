@@ -121,3 +121,11 @@ def test_meta_checkpoint_resumes_both_generators(tmp_path):
     assert loaded.rng.integers(2 ** 31) == meta.rng.integers(2 ** 31)
     obs = np.zeros(probe.obs_dim)
     assert np.array_equal(loaded.agent.act(obs), meta.agent.act(obs))
+
+
+def test_meta_checkpoint_refuses_another_config(tmp_path):
+    cfg, probe, meta = meta_setup()
+    path = str(tmp_path / "meta.npz")
+    meta.save(path)
+    with pytest.raises(ValueError, match="config_hash"):
+        MetaSac.load(path, cfg.replace(gamma=0.5))

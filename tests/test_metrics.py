@@ -8,7 +8,7 @@ import pytest
 from uavlc import (DimmingConfig, FlightConfig, LedSelection, QosConfig,
                    UavState, check_p1_feasibility, energy_efficiency,
                    per_user_rate, total_power)
-from uavlc.metrics import effective_gains, order_users
+from uavlc.metrics import RateReport, effective_gains, order_users
 
 # two LEDs, two users, co-located columns
 H = np.array([[2.0, 1.0],
@@ -48,6 +48,55 @@ def test_per_user_rate_oracle():
     # user0 decoded last, no interference: SINR = 4 / 0.5
     assert rr.rates[0] == pytest.approx(math.log2(9.0), rel=1e-12)
     assert rr.sum_rate == pytest.approx(rr.rates.sum(), rel=1e-12)
+
+
+def reference_per_user_rate(h: np.ndarray, w: np.ndarray,
+                            selection: LedSelection,
+                            noise_var: np.ndarray,
+                            order: np.ndarray) -> RateReport:
+    """Per-user NOMA rate with interference from later-ordered users."""
+    # the earlier numpy-per-user kernel, kept verbatim as the reference
+    noise_var = np.broadcast_to(np.asarray(noise_var, dtype=float),
+                                (h.shape[1],))
+    masked = w * selection.a[:, None]
+    # cross[k, i] = |h_k^H A w_i|^2
+    cross = (h.T @ masked) ** 2
+    k_users = h.shape[1]
+    rates = np.zeros(k_users)
+    for pos, k in enumerate(order):
+        later = order[pos + 1:]
+        interference = cross[k, later].sum() if later.size else 0.0
+        sinr = cross[k, k] / (interference + noise_var[k])
+        rates[k] = np.log2(1.0 + sinr)
+    return RateReport(rates=rates, order=np.asarray(order))
+
+
+@pytest.mark.parametrize("k_users", range(1, 13))
+def test_per_user_rate_matches_reference_bitwise(k_users):
+    rng = np.random.default_rng(100 + k_users)
+    for trial in range(300):
+        n = int(rng.integers(1, 11))
+        h = rng.random((n, k_users)) * 10.0 ** rng.uniform(-7.0, 0.0)
+        w = rng.normal(size=(n, k_users)) * 10.0 ** rng.uniform(-4.0, 1.0)
+        if trial % 3 == 0:
+            w = np.abs(w)
+        sel = LedSelection(a=rng.integers(0, 2, n))
+        h[:, rng.random(k_users) < 0.15] = 0.0  # users with no channel
+        noise = (10.0 ** rng.uniform(-22.0, -1.0) if trial % 2
+                 else 10.0 ** rng.uniform(-22.0, -1.0, k_users))
+        order = (order_users(h, w, sel) if trial % 4
+                 else rng.permutation(k_users))
+        got = per_user_rate(h, w, sel, noise, order)
+        want = reference_per_user_rate(h, w, sel, noise, order)
+        assert np.array_equal(got.order, want.order)
+        if k_users <= 8:
+            assert np.array_equal(got.rates, want.rates)
+        else:
+            # numpy's add.reduce sums 8 or more terms in 8-way pairwise
+            # blocks, while the kernel sums left to right; below 8 terms
+            # both are the same left-to-right sum
+            np.testing.assert_allclose(got.rates, want.rates, rtol=1e-12,
+                                       atol=0.0)
 
 
 def test_interference_free_single_user():

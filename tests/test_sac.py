@@ -217,6 +217,31 @@ def test_checkpoint_refuses_other_shapes_and_versions(tmp_path):
         SacAgent.load(old, cfg)
 
 
+def test_checkpoint_refuses_another_config(tmp_path):
+    agent, cfg = small_agent(seed=9)
+    path = str(tmp_path / "agent.npz")
+    agent.save(path)
+    other = cfg.replace(gamma=0.5, n_users=3)
+    with pytest.raises(ValueError, match=f"config_hash {cfg.config_hash()} "
+                       f".* {other.config_hash()}"):
+        SacAgent.load(path, other)
+
+
+def test_clone_with_fresh_optimizers_copies_no_moments():
+    agent, cfg = small_agent(seed=6)
+    agent.update(make_batch(np.random.default_rng(2), 16, 5, 2))
+    other = agent.clone(fresh_optimizers=True, lr=0.25)
+    for name in ("actor", "q1", "q2", "tq1", "tq2"):
+        assert np.array_equal(getattr(agent, name).get_flat(),
+                              getattr(other, name).get_flat())
+    for name in ("adam_actor", "adam_q1", "adam_q2"):
+        mine, fresh = getattr(agent, name), getattr(other, name)
+        assert mine.t == 1 and np.any(mine.m != 0.0)
+        assert fresh.t == 0 and fresh.lr == 0.25
+        assert not np.any(fresh.m) and not np.any(fresh.v)
+    assert other.clone(fresh_optimizers=True).adam_q2.lr == cfg.lr_critic2
+
+
 def test_act_runs_the_actor_forward_once(monkeypatch):
     agent, _ = small_agent(seed=10)
     calls = []
