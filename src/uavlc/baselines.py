@@ -137,11 +137,12 @@ def cascade_beamformer(h_est: np.ndarray, selection: LedSelection,
 
     served = eff_gain > 0.0
     floor = r_target * (1.0 - 1e-9)
+    noise = np.full(k_users, noise_var)
 
     def meets_floor(t: float) -> bool:
         wt = w * t
         order = order_users(h_est, wt, selection)
-        rr = per_user_rate(h_est, wt, selection, noise_var, order)
+        rr = per_user_rate(h_est, wt, selection, noise, order)
         return bool((rr.rates[served] >= floor).all())
 
     lo, hi = 0.0, min(1.0 + 1e-9, t_cap)
@@ -236,14 +237,14 @@ def greedy_exhaustive_slot(h_est: np.ndarray, n_active: int, bound: float,
     """
     n, k_users = h_est.shape
     best = (None, None, np.inf)
+    noise = np.full(k_users, noise_var)
     for subset in itertools.combinations(range(n), n_active):
         a = np.zeros(n, dtype=int)
         a[list(subset)] = 1
         selection = LedSelection(a=a)
         w = cascade_beamformer(h_est, selection, bound, r_min, noise_var)
         order = order_users(h_est, w, selection)
-        rr = per_user_rate(h_est, w, selection,
-                           np.full(k_users, noise_var), order)
+        rr = per_user_rate(h_est, w, selection, noise, order)
         if not np.all(rr.rates >= r_min * (1.0 - 1e-9)):
             continue
         if np.any(np.abs(w).sum(axis=1) > bound * (1.0 + 1e-9)):

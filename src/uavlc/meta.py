@@ -30,8 +30,7 @@ class MetaSac:
     def inner_adapt(self, buffer: ReplayBuffer, support_idx: np.ndarray,
                     steps: int) -> SacAgent:
         """Adapt a copy of the global parameters on support data only."""
-        adapted = self.agent.clone(fresh_optimizers=True,
-                                   lr=self.cfg.lr_inner)
+        adapted = self.agent.clone(lr=self.cfg.lr_inner)
         for _ in range(steps):
             idx = self.rng.choice(support_idx, size=self.cfg.batch_size,
                                   replace=len(support_idx) < self.cfg.batch_size)
@@ -110,7 +109,7 @@ class MetaSac:
                    seed: int = 0) -> SacAgent:
         """Fine-tune a copy of the meta-initialization on a fresh task."""
         cfg = self.cfg
-        agent = self.agent.clone(fresh_optimizers=True)
+        agent = self.agent.clone()
         agent.rng = np.random.default_rng([seed, 11])
         if episodes == 0:
             return agent

@@ -70,15 +70,14 @@ def order_users(h: np.ndarray, w: np.ndarray,
 
 
 def per_user_rate(h: np.ndarray, w: np.ndarray, selection: LedSelection,
-                  noise_var: float | np.ndarray,
-                  order: np.ndarray) -> RateReport:
+                  noise_var: np.ndarray, order: np.ndarray) -> RateReport:
     """Per-user NOMA rate with interference from later-ordered users.
 
-    noise_var is one variance for every user or one per user.
+    noise_var holds one variance per user.
     """
     order = np.asarray(order)
     k_users = h.shape[1]
-    noise = np.full(k_users, noise_var, dtype=float).tolist()
+    noise = np.asarray(noise_var, dtype=float).tolist()
     masked = w * selection.a[:, None]
     # cross[k][i] = |h_k^H A w_i|^2
     cross = ((h.T @ masked) ** 2).tolist()

@@ -123,13 +123,6 @@ class Adam:
         params -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2)
                                               + self.eps)
 
-    def clone(self) -> "Adam":
-        other = Adam(self.m, self.lr, self.beta1, self.beta2, self.eps)
-        other.t = self.t
-        other.m = self.m.copy()
-        other.v = self.v.copy()
-        return other
-
 
 def soft_update(target: Mlp, online: Mlp, coefficient: float):
     """Polyak averaging: target <- (1 - c) target + c online."""

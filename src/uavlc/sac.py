@@ -227,12 +227,11 @@ class SacAgent:
 
     # -- cloning and checkpoints --
 
-    def clone(self, fresh_optimizers: bool = False,
-              lr: float | None = None) -> "SacAgent":
-        """Deep copy with the same RNG state.
+    def clone(self, lr: float | None = None) -> "SacAgent":
+        """Deep copy of the networks with the same RNG state.
 
-        The ADAM states are copied too, or, with `fresh_optimizers`, built
-        anew by `reset_optimizers(lr)` without copying the old moments.
+        The ADAM states are not copied: the copy gets fresh ones from
+        `reset_optimizers(lr)`.
         """
         other = SacAgent.__new__(SacAgent)
         other.cfg = self.cfg
@@ -242,11 +241,7 @@ class SacAgent:
         other.rng.bit_generator.state = self.rng.bit_generator.state
         for name in NETS:
             setattr(other, name, getattr(self, name).clone())
-        if fresh_optimizers:
-            other.reset_optimizers(lr)
-        else:
-            for name in OPTIMIZERS:
-                setattr(other, name, getattr(self, name).clone())
+        other.reset_optimizers(lr)
         return other
 
     def save(self, path: str, extra: dict | None = None):

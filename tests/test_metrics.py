@@ -82,8 +82,8 @@ def test_per_user_rate_matches_reference_bitwise(k_users):
             w = np.abs(w)
         sel = LedSelection(a=rng.integers(0, 2, n))
         h[:, rng.random(k_users) < 0.15] = 0.0  # users with no channel
-        noise = (10.0 ** rng.uniform(-22.0, -1.0) if trial % 2
-                 else 10.0 ** rng.uniform(-22.0, -1.0, k_users))
+        noise = (np.full(k_users, 10.0 ** rng.uniform(-22.0, -1.0))
+                 if trial % 2 else 10.0 ** rng.uniform(-22.0, -1.0, k_users))
         order = (order_users(h, w, sel) if trial % 4
                  else rng.permutation(k_users))
         got = per_user_rate(h, w, sel, noise, order)

@@ -227,10 +227,10 @@ def test_checkpoint_refuses_another_config(tmp_path):
         SacAgent.load(path, other)
 
 
-def test_clone_with_fresh_optimizers_copies_no_moments():
+def test_clone_builds_fresh_optimizers():
     agent, cfg = small_agent(seed=6)
     agent.update(make_batch(np.random.default_rng(2), 16, 5, 2))
-    other = agent.clone(fresh_optimizers=True, lr=0.25)
+    other = agent.clone(lr=0.25)
     for name in ("actor", "q1", "q2", "tq1", "tq2"):
         assert np.array_equal(getattr(agent, name).get_flat(),
                               getattr(other, name).get_flat())
@@ -239,7 +239,7 @@ def test_clone_with_fresh_optimizers_copies_no_moments():
         assert mine.t == 1 and np.any(mine.m != 0.0)
         assert fresh.t == 0 and fresh.lr == 0.25
         assert not np.any(fresh.m) and not np.any(fresh.v)
-    assert other.clone(fresh_optimizers=True).adam_q2.lr == cfg.lr_critic2
+    assert other.clone().adam_q2.lr == cfg.lr_critic2
 
 
 def test_act_runs_the_actor_forward_once(monkeypatch):
