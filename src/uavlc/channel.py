@@ -4,6 +4,10 @@ The LED array is treated as co-located (one geometry shared by all N LEDs),
 so the N x K gain matrix has identical rows within each user column.
 Channel estimates carry a bounded error: |h_hat - h| <= delta element-wise,
 drawn uniformly and clamped at zero from below.
+
+`channel_matrix` is the one gain kernel (`los_channel_gain` is its one-user
+case). It is exact against a per-user `np.linalg.norm` loop because its
+distances use the same BLAS `ddot`; see its docstring.
 """
 
 from __future__ import annotations
@@ -63,40 +67,54 @@ def los_channel_gain(uav: np.ndarray, user: np.ndarray,
                      optics: OpticsParams) -> float:
     """LoS gain h = (m+1)A/(2 pi d^2) G(psi) cos^m(phi) cos(psi).
 
-    The UAV array points straight down and the PD straight up, so the
-    irradiance and incidence angles coincide: cos psi = cos phi = dz / d.
-    Returns 0 when the incidence angle exceeds the FOV semi-angle, which
-    includes any geometry with the UAV at or below the user's plane.
+    The one-user case of `channel_matrix`, which documents the geometry.
     """
-    uav = np.asarray(uav, dtype=float)
-    user = np.asarray(user, dtype=float)
-    diff = uav - user
-    d = float(np.linalg.norm(diff))
-    if d == 0.0:
-        raise ValueError("degenerate geometry: UAV and user coincide")
-    dz = float(diff[2])
-    if dz <= 0.0:
-        return 0.0
-    cos_psi = dz / d
-    psi = math.acos(min(1.0, cos_psi))
-    if psi > optics.fov_semiangle:
-        return 0.0
-    m = lambertian_order(optics.half_power_semiangle)
-    g = concentrator_gain(psi, optics)
-    return ((m + 1.0) * optics.pd_area / (2.0 * math.pi * d * d)
-            * g * cos_psi ** m * cos_psi)
+    return float(channel_matrix(uav, np.reshape(user, (1, 3)), optics,
+                                1)[0, 0])
 
 
 def channel_matrix(uav: np.ndarray, users, optics: OpticsParams,
                    n_leds: int) -> np.ndarray:
-    """N x K true-gain matrix; all rows of a column equal (co-located array)."""
+    """N x K true-gain matrix; all rows of a column equal (co-located array).
+
+    Column k is the LoS gain h = (m+1)A/(2 pi d^2) G(psi) cos^m(phi)
+    cos(psi) of user k. The UAV array points straight down and the PD
+    straight up, so the irradiance and incidence angles coincide:
+    cos psi = cos phi = dz / d. A gain is 0 when the incidence angle
+    exceeds the FOV semi-angle, which includes any geometry with the UAV
+    at or below the user's plane.
+
+    The squared distances come from one stacked matmul of (1, 3) by (3, 1)
+    blocks, which numpy computes with BLAS `ddot` per block, exactly as
+    `np.linalg.norm` does for one vector (a Python sum of squares differs
+    in the last bit on some inputs). The rest is Python float arithmetic in
+    the order of the formula above.
+    """
     if n_leds < 1:
         raise ValueError("need at least one LED")
-    users = list(users)
-    if not users:
+    users = np.asarray(users, dtype=float).reshape(-1, 3)
+    if users.shape[0] == 0:
         raise ValueError("need at least one user")
-    gains = np.array([los_channel_gain(uav, u, optics) for u in users])
-    return np.tile(gains, (n_leds, 1))
+    diff = np.asarray(uav, dtype=float) - users
+    sq_dist = np.matmul(diff[:, None, :], diff[:, :, None]).ravel().tolist()
+    m = lambertian_order(optics.half_power_semiangle)
+    g = concentrator_gain(0.0, optics)
+    scale = (m + 1.0) * optics.pd_area
+    two_pi = 2.0 * math.pi
+    gains = []
+    for d2, dz in zip(sq_dist, diff[:, 2].tolist()):
+        d = math.sqrt(d2)
+        if d == 0.0:
+            raise ValueError("degenerate geometry: UAV and user coincide")
+        cos_psi = dz / d
+        if dz <= 0.0 or math.acos(min(1.0, cos_psi)) > optics.fov_semiangle:
+            gains.append(0.0)
+        else:
+            gains.append(scale / (two_pi * d * d) * g * cos_psi ** m
+                         * cos_psi)
+    h = np.empty((n_leds, len(gains)))
+    h[:] = gains
+    return h
 
 
 def perturb_csi(h: np.ndarray, delta: float,

@@ -34,13 +34,18 @@ class DimmingConfig:
         return 0.5 * (self.i_low + self.i_high)
 
 
+def is_binary(a: np.ndarray) -> bool:
+    """Whether every entry is 0 or 1: the nonzero entries are the ones."""
+    return np.count_nonzero(a) == np.count_nonzero(a == 1)
+
+
 @dataclass
 class LedSelection:
     a: np.ndarray     # length-N binary vector
 
     def __post_init__(self):
         self.a = np.asarray(self.a)
-        if not np.all((self.a == 0) | (self.a == 1)):
+        if not is_binary(self.a):
             raise ValueError("selection vector must be binary")
 
     @property
@@ -88,18 +93,15 @@ def project_beamformer(w_raw: np.ndarray, bound: float,
 
     Rows of inactive LEDs are zeroed. Rows whose absolute sum exceeds the
     bound are scaled down (direction preserving); feasible rows pass through.
+    The row sums are numpy's; the N row scales are Python float divisions.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
     w = np.asarray(w_raw, dtype=float) * selection.a[:, None]
-    row_sums = np.abs(w).sum(axis=1)
-    over = row_sums > bound
-    scale = np.ones_like(row_sums)
-    scale[over] = bound / row_sums[over] if bound > 0 else 0.0
-    # bound == 0 with nonzero rows: zero them out
-    if bound == 0.0:
-        scale[over] = 0.0
-    return w * scale[:, None]
+    # a zero bound zeroes every nonzero row
+    scale = [(bound / s if bound > 0.0 else 0.0) if s > bound else 1.0
+             for s in np.abs(w).sum(axis=1).tolist()]
+    return w * np.array(scale)[:, None]
 
 
 def select_leds(scores: np.ndarray, n_active: int) -> LedSelection:
@@ -109,7 +111,7 @@ def select_leds(scores: np.ndarray, n_active: int) -> LedSelection:
     if n_active > n:
         raise ValueError("cannot activate more LEDs than exist")
     # stable sort on negated scores realizes the lowest-index tie-break
-    top = np.argsort(-scores, kind="stable")[:n_active]
+    top = (-scores).argsort(kind="stable")[:n_active]
     a = np.zeros(n, dtype=int)
     a[top] = 1
     return LedSelection(a=a)

@@ -5,6 +5,12 @@ Raw learner actions live in a [-1, 1] box and are decoded through the
 dimming/beamforming projection pipeline, so the dynamic-range and binary
 selection constraints hold by construction. Reward is -P_Tot on feasible
 slots and a configurable penalty otherwise (0 in paper-literal mode).
+
+A step builds one observation: the next observation it returns is kept and
+is the observation the following step acts on. The kernels a step calls
+make few numpy calls per slot and still give the results of their
+per-user, per-element forms bit for bit; the `channel`, `uav` and
+`metrics` docstrings say why.
 """
 
 from __future__ import annotations
@@ -129,12 +135,16 @@ class VlcUavEnv:
         self.n_active = active_led_count(cfg.dimming_level, cfg.n_leds)
         self.i_dc = dc_bias_for(self.dim_cfg, self.n_active)
         self.bound = beamforming_bound(self.i_dc, cfg.i_low, cfg.i_high)
-        # observation normalizer: nadir gain from mid-altitude
+        self._noise = np.full(cfg.n_users, cfg.noise_var)
+        # observation normalizers: nadir gain from mid-altitude, the box
         z_ref = 0.5 * (cfg.q_min[2] + cfg.q_max[2])
         self._h_ref = los_channel_gain(
             np.array([0.0, 0.0, z_ref]), np.zeros(3), self.optics)
+        self._q_min = np.asarray(cfg.q_min)
+        self._q_span = np.asarray(cfg.q_max) - self._q_min
         self._uav: UavState | None = None
         self._channels: ChannelState | None = None
+        self._obs: np.ndarray | None = None
         self._rng: np.random.Generator | None = None
         self._done = True
         self.trace = EpisodeTrace()
@@ -160,17 +170,26 @@ class VlcUavEnv:
         self._refresh_channels()
         self._done = False
         self.trace = EpisodeTrace()
-        return self._observation()
+        return self._obs
 
     def decode_action(self, raw: np.ndarray) -> AllocationAction:
-        """Map a raw box action to a C3/C9-feasible allocation."""
+        """Map a raw box action to a C3/C9-feasible allocation.
+
+        Raises ValueError on a NaN or infinite entry: clipping would carry
+        it into the beams and the report, and the slot would silently read
+        as a plain infeasible one.
+        """
         raw = np.asarray(raw, dtype=float)
+        if not np.isfinite(raw).all():
+            raise ValueError(
+                f"non-finite raw action at slot {self._uav.slot}")
         n, k = self.cfg.n_leds, self.cfg.n_users
-        beam = np.clip(raw[:n * k], -1.0, 1.0).reshape(n, k) * self.bound
-        scores = raw[n * k:n * k + n]
-        selection = select_leds(scores, self.n_active)
+        nk = n * k
+        clipped = raw.clip(-1.0, 1.0)
+        beam = clipped[:nk].reshape(n, k) * self.bound
+        selection = select_leds(raw[nk:nk + n], self.n_active)
         w = project_beamformer(beam, self.bound, selection)
-        v_raw = np.clip(raw[n * k + n:], -1.0, 1.0) * self.cfg.v_max
+        v_raw = clipped[nk + n:] * self.cfg.v_max
         if self.cfg.clamp_velocity:
             velocity = clamp_velocity(self._uav, v_raw, self.flight_cfg)
         else:
@@ -181,9 +200,9 @@ class VlcUavEnv:
     def step(self, raw: np.ndarray) -> Transition:
         if self._done:
             raise RuntimeError("cannot step a finished episode")
-        obs = self._observation()
+        obs = self._obs
         action = self.decode_action(raw)
-        p_prop = propulsion_power(action.velocity, self.rotor)
+        p_prop = propulsion_power(action.velocity, self.rotor, self.hover)
         report = check_p1_feasibility(
             w=action.w, selection=action.selection, i_dc=action.i_dc,
             v_next=action.velocity, h_true=self._channels.true_gain,
@@ -204,31 +223,27 @@ class VlcUavEnv:
                                     self.flight_cfg)
         self._refresh_channels()
         self._done = self._uav.slot >= self.cfg.n_slots
-        next_obs = self._observation()
         return Transition(obs=obs, raw_action=raw.copy(), reward=reward,
-                          next_obs=next_obs, done=self._done)
+                          next_obs=self._obs, done=self._done)
 
     # -- internals --
 
     def _refresh_channels(self):
+        """New channels for the UAV's position, and their observation."""
         h = channel_matrix(self._uav.position, self.task.user_positions,
                            self.optics, self.cfg.n_leds)
         h_hat = perturb_csi(h, self.cfg.csi_radius, self._rng)
         self._channels = ChannelState(
-            true_gain=h, est_gain=h_hat,
-            noise_var=np.full(self.cfg.n_users, self.cfg.noise_var),
+            true_gain=h, est_gain=h_hat, noise_var=self._noise,
             uncertainty_radius=self.cfg.csi_radius)
-
-    def _observation(self) -> np.ndarray:
-        chan = np.log1p(self._channels.est_gain / self._h_ref).ravel()
-        if not self.cfg.observe_pose:
-            return chan.astype(float)
-        q_min = np.asarray(self.cfg.q_min)
-        q_max = np.asarray(self.cfg.q_max)
-        pos = (self._uav.position - q_min) / (q_max - q_min)
-        vel = self._uav.velocity / self.cfg.v_max
-        frac = np.array([self._uav.slot / self.cfg.n_slots])
-        return np.concatenate([chan, pos, vel, frac]).astype(float)
+        chan = np.log1p(h_hat / self._h_ref).ravel()
+        if self.cfg.observe_pose:
+            uav = self._uav
+            chan = np.concatenate([
+                chan, (uav.position - self._q_min) / self._q_span,
+                uav.velocity / self.cfg.v_max,
+                [uav.slot / self.cfg.n_slots]])
+        self._obs = chan
 
     def _record(self, report: dict, action: AllocationAction, reward: float):
         power = report["power"]

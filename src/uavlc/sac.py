@@ -211,7 +211,14 @@ class SacAgent:
     # -- updates --
 
     def apply_grads(self, ga, g1, g2):
-        """One ADAM step of each network, then the Polyak target update."""
+        """One ADAM step of each network, then the Polyak target update.
+
+        Raises ValueError naming the network, before any network changes,
+        when a gradient holds NaN or inf.
+        """
+        for name, g in (("actor", ga), ("q1", g1), ("q2", g2)):
+            if not np.isfinite(g).all():
+                raise ValueError(f"non-finite gradient for network {name}")
         self.adam_q1.step(self.q1.flat, g1)
         self.adam_q2.step(self.q2.flat, g2)
         self.adam_actor.step(self.actor.flat, ga)

@@ -3,10 +3,16 @@
 Flight constraints are reported rather than enforced; the environment
 decides whether to penalize or clamp. The parasite power term keeps the
 rotor-solidity factor exactly as the source model prints it.
+
+Vector lengths are `norm(x) = sqrt(x . x)` with the dot product taken by
+BLAS `ddot`, the same call `np.linalg.norm` makes for one vector, so they
+equal its results bit for bit at a fraction of its call cost (a Python sum
+of squares does not: it differs in the last bit on some inputs).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -73,6 +79,11 @@ class HoverPower(NamedTuple):
     total: float
 
 
+def norm(x: np.ndarray) -> float:
+    """Euclidean length of a float vector, equal to `np.linalg.norm(x)`."""
+    return math.sqrt(x.dot(x))
+
+
 def step_kinematics(state: UavState, v_next: np.ndarray,
                     cfg: FlightConfig) -> UavState:
     """First-order slot update q(l+1) = q(l) + v(l) tau."""
@@ -94,14 +105,15 @@ def check_flight(state: UavState, v_next: np.ndarray,
     tau = cfg.slot_duration
     violations = []
     next_pos = state.position + v_next * tau
-    if not np.all((cfg.q_min < next_pos) & (next_pos < cfg.q_max)):
+    box = zip(cfg.q_min.tolist(), next_pos.tolist(), cfg.q_max.tolist())
+    if not all(lo < x < hi for lo, x, hi in box):
         violations.append("C5")
-    if np.linalg.norm(v_next - state.velocity) > cfg.a_max * tau * (1 + 1e-12):
+    if norm(v_next - state.velocity) > cfg.a_max * tau * (1 + 1e-12):
         violations.append("C6")
-    if np.linalg.norm(v_next) > cfg.v_max * (1 + 1e-12):
+    if norm(v_next) > cfg.v_max * (1 + 1e-12):
         violations.append("C7")
     if state.slot + 1 == cfg.n_slots:
-        if np.linalg.norm(next_pos - cfg.q_init) > cfg.return_tolerance:
+        if norm(next_pos - cfg.q_init) > cfg.return_tolerance:
             violations.append("RTS")
     return violations
 
@@ -117,11 +129,11 @@ def clamp_velocity(state: UavState, v_cmd: np.ndarray,
     v_cmd = np.asarray(v_cmd, dtype=float)
     dv = v_cmd - state.velocity
     max_dv = cfg.a_max * cfg.slot_duration
-    n = np.linalg.norm(dv)
+    n = norm(dv)
     if n > max_dv:
         dv = dv * (max_dv / n)
     v = state.velocity + dv
-    speed = np.linalg.norm(v)
+    speed = norm(v)
     if speed > cfg.v_max:
         v = v * (cfg.v_max / speed)
     return v
@@ -136,14 +148,16 @@ def hover_power(p: RotorcraftParams) -> HoverPower:
     return HoverPower(blade=p_b, induced=p_i, total=p_b + p_i)
 
 
-def propulsion_power(v: np.ndarray, p: RotorcraftParams) -> float:
+def propulsion_power(v: np.ndarray, p: RotorcraftParams,
+                     hover: HoverPower | None = None) -> float:
     """Forward-flight power: blade profile + induced + parasite terms.
 
     Depends on the speed only; reduces exactly to hover power at v = 0.
+    `hover` is `hover_power(p)`, for callers that keep it.
     """
-    speed2 = float(np.dot(np.asarray(v, dtype=float).ravel(),
-                          np.asarray(v, dtype=float).ravel()))
-    hov = hover_power(p)
+    v = np.asarray(v, dtype=float).ravel()
+    speed2 = float(v.dot(v))
+    hov = hover_power(p) if hover is None else hover
     tip2 = (p.blade_angular_velocity * p.rotor_radius) ** 2
     blade = (1.0 + 3.0 * speed2 / tip2) * hov.blade
     vi2 = p.induced_hover_velocity ** 2
@@ -152,3 +166,33 @@ def propulsion_power(v: np.ndarray, p: RotorcraftParams) -> float:
     parasite = 0.5 * p.fuselage_drag_ratio * p.air_density * p.rotor_solidity \
         * p.rotor_disk_area * speed2 ** 1.5
     return float(blade + induced + parasite)
+
+
+def min_propulsion_power(p: RotorcraftParams, v_max: float) -> float:
+    """Least propulsion power over speeds in [0, v_max].
+
+    The power falls and then rises with speed. A grid of speeds brackets
+    its lowest point, and a golden-section search narrows the bracket until
+    it stops moving.
+    """
+    hov = hover_power(p)
+
+    def power(speed: float) -> float:
+        return propulsion_power(np.array([speed, 0.0, 0.0]), p, hov)
+
+    grid = np.linspace(0.0, v_max, 1001).tolist()
+    powers = [power(s) for s in grid]
+    best = min(powers)
+    i = powers.index(best)
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    ratio = 0.5 * (math.sqrt(5.0) - 1.0)
+    while True:
+        a, b = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+        if not lo < a < b < hi:
+            return best
+        pa, pb = power(a), power(b)
+        best = min(best, pa, pb)
+        if pa <= pb:
+            hi = b
+        else:
+            lo = a

@@ -31,6 +31,17 @@ def test_check_subcommand_passes(cfg_path, capsys):
     assert "all checks passed" in out
 
 
+def test_check_fails_the_default_config(capsys):
+    # hover alone draws ~1438 W and the least propulsion power over speeds
+    # up to v_max ~945 W, against the default p_max of 20 W
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check", "--seed", "0"])
+    assert exit_info.value.code == 1
+    out = capsys.readouterr().out
+    fail = [line for line in out.splitlines() if "[FAIL]" in line]
+    assert len(fail) == 1 and "P_Tot lower bound 946.3 W" in fail[0]
+
+
 def test_simulate_writes_trace(cfg_path, tmp_path):
     out = tmp_path / "trace.csv"
     main(["simulate", "--config", cfg_path, "--seed", "1",

@@ -153,3 +153,29 @@ def test_observation_reflects_channel_scale(make_env):
     chan_block = obs[:env.cfg.n_leds * env.cfg.n_users]
     expected = np.log1p(env.channels.est_gain / env._h_ref).ravel()
     assert np.allclose(chan_block, expected)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_raw_action_raises_naming_the_slot(env, bad):
+    env.reset(seed=2)
+    rng = np.random.default_rng(3)
+    for _ in range(2):
+        env.step(rng.uniform(-1, 1, env.action_dim))
+    raw = rng.uniform(-1, 1, env.action_dim)
+    raw[-1] = bad
+    with pytest.raises(ValueError, match="slot 2"):
+        env.decode_action(raw)
+    with pytest.raises(ValueError, match="non-finite raw action at slot 2"):
+        env.step(raw)
+    # the refused slot left no row and did not advance the episode
+    assert len(env.trace.rows) == 2
+    assert env.uav_state.slot == 2
+
+
+def test_step_returns_the_observation_it_will_act_on(env):
+    obs = env.reset(seed=8)
+    rng = np.random.default_rng(9)
+    while not env.done:
+        tr = env.step(rng.uniform(-1, 1, env.action_dim))
+        assert np.array_equal(tr.obs, obs)
+        obs = tr.next_obs

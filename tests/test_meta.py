@@ -67,6 +67,19 @@ def test_outer_update_requires_tasks():
         meta.outer_update([], [])
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_outer_update_refuses_a_non_finite_query_loss():
+    cfg, probe, meta = meta_setup(seed=12)
+    buf = filled_buffer(probe, 40, seed=2)
+    batch = buf.get(np.arange(cfg.batch_size))
+    batch["rew"][0] = np.inf
+    adapted = meta.inner_adapt(buf, np.arange(len(buf)), steps=0)
+    before = meta.agent.q1.get_flat().copy()
+    with pytest.raises(ValueError, match="network q1"):
+        meta.outer_update([adapted], [batch])
+    assert np.array_equal(meta.agent.q1.get_flat(), before)
+
+
 def test_meta_adapt_zero_episodes_returns_initialization():
     cfg, probe, meta = meta_setup()
     task = sample_task(cfg, np.random.default_rng(4))

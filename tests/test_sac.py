@@ -275,3 +275,31 @@ def test_train_sac_runs_and_is_deterministic(make_env):
     assert r1 == r2
     assert np.array_equal(a1.actor.get_flat(), a2.actor.get_flat())
     assert len(r1) == 3
+
+
+def test_apply_grads_refuses_non_finite_gradients_untouched():
+    agent, _ = small_agent(seed=6)
+    nets = ("actor", "q1", "q2", "tq1", "tq2")
+    before = {n: getattr(agent, n).get_flat().copy() for n in nets}
+    grads = [np.zeros_like(agent.actor.flat), np.zeros_like(agent.q1.flat),
+             np.zeros_like(agent.q2.flat)]
+    for i, name in enumerate(("actor", "q1", "q2")):
+        for bad in (np.nan, np.inf):
+            g = [x.copy() for x in grads]
+            g[i][3] = bad
+            with pytest.raises(ValueError,
+                               match=f"non-finite gradient for network "
+                                     f"{name}"):
+                agent.apply_grads(*g)
+    for n in nets:
+        assert np.array_equal(getattr(agent, n).get_flat(), before[n])
+    assert agent.adam_actor.t == agent.adam_q1.t == agent.adam_q2.t == 0
+
+
+def test_update_refuses_a_nan_reward():
+    agent, _ = small_agent(seed=7)
+    batch = make_batch(np.random.default_rng(14), 16, 5, 2)
+    batch["rew"][5] = np.nan
+    # the reward reaches the critics' targets, not the actor's loss
+    with pytest.raises(ValueError, match="network q1"):
+        agent.update(batch)
