@@ -13,6 +13,50 @@ formed once with numpy, and its sums run left to right, which equals
 numpy's own sum bit for bit below 8 terms (numpy sums longer runs in 8-way
 pairwise blocks). The bisection stops once a midpoint rounds onto an end of
 its bracket, from where every further step would repeat itself.
+
+Floor screen. Most bisection midpoints lie far from the rate floor, and
+`floor_screen` settles those in closed form, once per slot. Since
+h_est >= 0 and w >= 0, the t-free cross gains C = (h_est.T @ w)**2 and the
+decoding order at t = 1 give each served user's SINR at scale t as
+t^2 S_k / (t^2 I_k + N), with S_k = C[k, k] and I_k the sum of C[k, i] over
+the users i decoded after k. With gamma = 2^floor - 1, a midpoint fails when
+some served SINR is below gamma (1 - eps) and passes when every one is above
+gamma (1 + eps); every other midpoint, NaN included, runs the exact test.
+
+The tolerance eps bounds the rounding on both sides (u = 2^-53, n LEDs,
+K users, first order). A dot product of non-negative terms, in any order and
+with or without FMA, is within n u of its real value, so an exact-test cross
+gain (sum_n h fl(w t))^2 is within (2n + 3) u; summing the later users left to
+right, adding N and dividing put its SINR within (4n + K + 6) u. The
+screen's own S_k, I_k, products and sums are within (4n + K + 11) u, and its
+gamma within 3u + 2u/gamma (pow within one ulp). Forming 1 + SINR (u
+absolute) and np.log2 (within 4 ulp) shift the exact test's edge by at most
+u (1 + 1/gamma)(1 + 8 ln(1 + gamma)) in SINR terms. A verdict is therefore
+exact once eps > (8n + 2K + 26 + 8 ln(1 + gamma)) u + 3u/gamma. The screen
+uses eps = 1e-11 + 1e-13/gamma, ten times that bound within its range.
+
+Range. The screen is built only for n + K <= 1000, 2^-30 <= gamma <= 2^100,
+2^-300 <= N <= 2^300, t_cap <= 2^40 and every entry of h_est and of the
+active beams 0 or in [2^-200, 2^40], and it settles only scales in
+[2^-61, t_cap] (the bracket starts at hi >= 1 and halves at most 60 times).
+There every product, gain and sum is 0 or a normal float, so the bounds hold
+and a zero gain is exactly zero at every scale; only a SINR quotient can
+underflow, by less than 2^-1074, far inside the margin gamma eps >= 1e-13.
+
+Certified order. The einsum gains `order_users` sorts are within (2n + 3) u
+of t^2 times their real values at every scale, and the diagonal of C within
+(2n + 1) u at t = 1. If each consecutive pair along the order at t = 1 has
+a zero lower gain or a relative gap above 1e-11 (more than (8n + 10) u),
+`order_users` returns that order at every scale, and the exact tests reuse
+it instead of sorting again. A pair closer than that (near-tied gains) gets
+no screen: every test then runs `order_users` and `per_user_rate` as
+before. Cascade designs keep consecutive powers 30% apart, so in practice
+their orders certify.
+
+Why bit-identical: a settled midpoint gets the answer the exact test would
+give, a certified order is the one `order_users` would return, and every
+other test runs unchanged, so the bisection visits the same midpoints,
+stops at the same one and returns the same scale.
 """
 
 from __future__ import annotations
@@ -24,6 +68,9 @@ import numpy as np
 
 from .dimming import LedSelection, select_leds
 from .metrics import per_user_rate, order_users, total_power
+
+# relative rounding budget of the floor screen and of its order certificate
+SCREEN_TOL = 1e-11
 
 
 class RandomPolicy:
@@ -102,6 +149,63 @@ def noma_cascade_amplitudes(gains: np.ndarray, r_min: float,
     return np.sqrt(e2)
 
 
+def _in_screen_range(x: np.ndarray) -> bool:
+    """Every entry 0 or in [2^-200, 2^40]; False on NaN."""
+    return bool(((x == 0.0) | ((x >= 2.0 ** -200) & (x <= 2.0 ** 40))).all())
+
+
+def floor_screen(h_est: np.ndarray, w: np.ndarray, selection: LedSelection,
+                 served: np.ndarray, floor: float, noise_var: float,
+                 t_cap: float):
+    """Certified decoding order and closed-form floor verdicts, or None.
+
+    Returns (order, verdict) for the scales t of `w * t` with
+    2^-61 <= t <= t_cap: `order_users` returns `order` at each of them,
+    and verdict(t) is True or False where the exact floor test on the
+    served users is sure to give that answer, None where it is not.
+    Returns None when the order at t = 1 is not certified or the inputs
+    leave the range the error bounds assume. The module docstring derives
+    the tolerance and the range.
+    """
+    n, k_users = h_est.shape
+    gamma = 2.0 ** floor - 1.0
+    masked = w * selection.a[:, None]
+    if not (n + k_users <= 1000 and 2.0 ** -30 <= gamma <= 2.0 ** 100
+            and 2.0 ** -300 <= noise_var <= 2.0 ** 300
+            and t_cap <= 2.0 ** 40
+            and _in_screen_range(h_est) and _in_screen_range(masked)):
+        return None
+    order = order_users(h_est, w, selection)
+    ks = order.tolist()
+    cross = ((h_est.T @ masked) ** 2).tolist()
+    gains = [cross[k][k] for k in ks]
+    if not all(lo == 0.0 or hi > lo * (1.0 + SCREEN_TOL)
+               for lo, hi in zip(gains, gains[1:])):
+        return None
+    # (S_k, I_k) of each served user: signal and interference at t = 1
+    users = [(cross[k][k], sum(cross[k][i] for i in ks[pos + 1:]))
+             for pos, k in enumerate(ks) if served[k]]
+    eps = SCREEN_TOL + 1e-13 / gamma
+    fail, clear = gamma * (1.0 - eps), gamma * (1.0 + eps)
+    t_min = 2.0 ** -61
+
+    def verdict(t: float):
+        # comparisons are written so that a NaN settles nothing
+        if not t_min <= t <= t_cap:
+            return None
+        t2 = t * t
+        passed = True
+        for s, i in users:
+            den = t2 * i + noise_var
+            if t2 * s < fail * den:
+                return False
+            if not t2 * s > clear * den:
+                passed = False
+        return True if passed else None
+
+    return order, verdict
+
+
 def cascade_beamformer(h_est: np.ndarray, selection: LedSelection,
                        bound: float, r_min: float, noise_var: float,
                        headroom: float = 0.05,
@@ -138,11 +242,19 @@ def cascade_beamformer(h_est: np.ndarray, selection: LedSelection,
     served = eff_gain > 0.0
     floor = r_target * (1.0 - 1e-9)
     noise = np.full(k_users, noise_var)
+    # without a certified order every test runs the exact path
+    order, verdict = (floor_screen(h_est, w, selection, served, floor,
+                                   noise_var, t_cap)
+                      or (None, lambda t: None))
 
     def meets_floor(t: float) -> bool:
+        settled = verdict(t)
+        if settled is not None:
+            return settled
         wt = w * t
-        order = order_users(h_est, wt, selection)
-        rr = per_user_rate(h_est, wt, selection, noise, order)
+        rr = per_user_rate(h_est, wt, selection, noise,
+                           order_users(h_est, wt, selection)
+                           if order is None else order)
         return bool((rr.rates[served] >= floor).all())
 
     lo, hi = 0.0, min(1.0 + 1e-9, t_cap)

@@ -128,10 +128,8 @@ def cmd_check(args):
 
     from .channel import lambertian_order, los_channel_gain, OpticsParams
     from .dimming import (DimmingConfig, active_led_count, dc_bias_for,
-                          dimming_level_of, select_leds)
-    from .metrics import total_power
-    from .uav import (RotorcraftParams, hover_power, min_propulsion_power,
-                      propulsion_power)
+                          dimming_level_of)
+    from .uav import hover_power, propulsion_power
 
     cfg = _load_cfg(args)
     failures = 0
@@ -152,11 +150,7 @@ def cmd_check(args):
     n_a = active_led_count(dim.eta, dim.n_leds)
     eta_back = dimming_level_of(n_a, dc_bias_for(dim, n_a), dim)
     check("dimming round trip", abs(eta_back - dim.eta) < 1e-12)
-    rotor = RotorcraftParams(
-        cfg.profile_drag_coeff, cfg.air_density, cfg.rotor_solidity,
-        cfg.rotor_disk_area, cfg.blade_angular_velocity, cfg.rotor_radius,
-        cfg.correction_factor, cfg.uav_weight, cfg.induced_hover_velocity,
-        cfg.fuselage_drag_ratio)
+    rotor = cfg.rotor()
     hov = hover_power(rotor)
     check("propulsion(0) equals hover",
           abs(propulsion_power(np.zeros(3), rotor) - hov.total)
@@ -172,13 +166,7 @@ def cmd_check(args):
         ok_c9 &= act.selection.n_active == env.n_active
     check("decoded actions satisfy C3", ok_c3)
     check("decoded actions satisfy C9", ok_c9)
-    # no slot can draw less than circuit + bias + the least propulsion
-    # power: past p_max, C2 fails in every slot whatever the policy
-    floor = total_power(
-        np.zeros((cfg.n_leds, cfg.n_users)),
-        select_leds(np.zeros(cfg.n_leds), env.n_active), env.i_dc,
-        min_propulsion_power(env.rotor, cfg.v_max), cfg.amp_efficiency,
-        cfg.conversion_factor, cfg.circuit_power).total
+    floor = cfg.power_floor()
     check(f"P_Tot lower bound {floor:.1f} W within p_max {cfg.p_max:g} W",
           floor <= cfg.p_max * (1.0 + 1e-12))
     if failures:

@@ -16,6 +16,10 @@ from dataclasses import dataclass, field
 
 import yaml
 
+from .dimming import DimmingConfig, active_led_count, dc_bias_for
+from .metrics import PowerBreakdown
+from .uav import RotorcraftParams, min_propulsion_power
+
 log = logging.getLogger(__name__)
 
 _VMAX_CONFLICT_NOTE = (
@@ -148,11 +152,8 @@ class SystemConfig:
             "q_min/q_max must be 3-vectors")
         req(all(a < b for a, b in zip(self.q_min, self.q_max)),
             "q_min must be component-wise below q_max")
-        for name in ("profile_drag_coeff", "air_density", "rotor_solidity",
-                     "rotor_disk_area", "blade_angular_velocity", "rotor_radius",
-                     "correction_factor", "uav_weight", "induced_hover_velocity",
-                     "fuselage_drag_ratio"):
-            req(getattr(self, name) > 0, f"{name} must be positive")
+        for f in dataclasses.fields(RotorcraftParams):
+            req(getattr(self, f.name) > 0, f"{f.name} must be positive")
         req(self.n_users >= 1, "need at least one user")
         req(self.reward_mode in ("penalty", "paper"),
             "reward_mode must be 'penalty' or 'paper'")
@@ -160,6 +161,32 @@ class SystemConfig:
         req(self.entropy_weight >= 0, "entropy weight must be non-negative")
         req(0.0 < self.support_fraction < 1.0,
             "support fraction must be in (0, 1)")
+
+    # -- physics parameter sets --
+
+    def rotor(self) -> RotorcraftParams:
+        """The rotor power model's parameters (same field names)."""
+        names = [f.name for f in dataclasses.fields(RotorcraftParams)]
+        return RotorcraftParams(**{name: getattr(self, name)
+                                   for name in names})
+
+    def dimming(self) -> DimmingConfig:
+        """The dimming settings the env decodes actions under."""
+        return DimmingConfig(eta=self.dimming_level, i_low=self.i_low,
+                             i_high=self.i_high, n_leds=self.n_leds)
+
+    def power_floor(self) -> float:
+        """Least P_Tot any slot can draw [W].
+
+        Circuit + DC bias + the least propulsion power over speeds in
+        [0, v_max]. Past p_max, C2 fails in every slot whatever the policy.
+        """
+        n_active = active_led_count(self.dimming_level, self.n_leds)
+        bias = (self.conversion_factor * n_active
+                * dc_bias_for(self.dimming(), n_active))
+        return PowerBreakdown(
+            transmit=0.0, bias=bias, circuit=self.circuit_power,
+            propulsion=min_propulsion_power(self.rotor(), self.v_max)).total
 
     # -- serialization --
 
@@ -188,7 +215,8 @@ def load_config(path: str | None = None) -> SystemConfig:
     """Load a YAML config file; missing keys fall back to defaults.
 
     Unknown keys and out-of-range values are rejected. An empty (or absent)
-    file yields the full default parameter set.
+    file yields the full default parameter set. A config whose power floor
+    exceeds p_max loads with a warning: no slot can satisfy C2.
     """
     data = {}
     if path is not None:
@@ -205,4 +233,9 @@ def load_config(path: str | None = None) -> SystemConfig:
         if unknown:
             raise ValueError(f"config {path}: unknown keys {sorted(unknown)}")
     log.info(_VMAX_CONFLICT_NOTE)
-    return SystemConfig(**data)
+    cfg = SystemConfig(**data)
+    floor = cfg.power_floor()
+    if floor > cfg.p_max * (1.0 + 1e-12):
+        log.warning("config: P_Tot lower bound %.1f W exceeds p_max %g W; "
+                    "C2 fails in every slot", floor, cfg.p_max)
+    return cfg

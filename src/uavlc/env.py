@@ -23,12 +23,11 @@ import numpy as np
 from .channel import (ChannelState, OpticsParams, channel_matrix,
                       los_channel_gain, perturb_csi)
 from .config import SystemConfig
-from .dimming import (DimmingConfig, LedSelection, active_led_count,
-                      beamforming_bound, dc_bias_for, project_beamformer,
-                      select_leds)
+from .dimming import (LedSelection, active_led_count, beamforming_bound,
+                      dc_bias_for, project_beamformer, select_leds)
 from .metrics import QosConfig, check_p1_feasibility
-from .uav import (FlightConfig, RotorcraftParams, UavState, clamp_velocity,
-                  hover_power, propulsion_power, step_kinematics)
+from .uav import (FlightConfig, UavState, clamp_velocity, hover_power,
+                  propulsion_power, step_kinematics)
 
 
 @dataclass
@@ -40,6 +39,10 @@ class Task:
     def __post_init__(self):
         self.user_positions = np.asarray(self.user_positions, dtype=float)
         self.q_init = np.asarray(self.q_init, dtype=float)
+        # a NaN position would reach the reward as a finite penalty
+        for name in ("user_positions", "q_init"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"task {name} must be finite")
 
 
 @dataclass
@@ -110,24 +113,13 @@ class VlcUavEnv:
             fov_semiangle=cfg.fov_semiangle,
             pd_area=cfg.pd_area_m2,
             refractive_index=cfg.refractive_index)
-        self.dim_cfg = DimmingConfig(eta=cfg.dimming_level, i_low=cfg.i_low,
-                                     i_high=cfg.i_high, n_leds=cfg.n_leds)
+        self.dim_cfg = cfg.dimming()
         self.flight_cfg = FlightConfig(
             slot_duration=cfg.slot_duration, n_slots=cfg.n_slots,
             v_max=cfg.v_max, a_max=cfg.a_max,
             q_min=np.asarray(cfg.q_min), q_max=np.asarray(cfg.q_max),
             q_init=task.q_init, return_tolerance=cfg.return_tolerance)
-        self.rotor = RotorcraftParams(
-            profile_drag_coeff=cfg.profile_drag_coeff,
-            air_density=cfg.air_density,
-            rotor_solidity=cfg.rotor_solidity,
-            rotor_disk_area=cfg.rotor_disk_area,
-            blade_angular_velocity=cfg.blade_angular_velocity,
-            rotor_radius=cfg.rotor_radius,
-            correction_factor=cfg.correction_factor,
-            uav_weight=cfg.uav_weight,
-            induced_hover_velocity=cfg.induced_hover_velocity,
-            fuselage_drag_ratio=cfg.fuselage_drag_ratio)
+        self.rotor = cfg.rotor()
         self.qos = QosConfig(r_min=cfg.r_min, p_max=cfg.p_max)
         self.hover = hover_power(self.rotor)
         self.penalty = (cfg.penalty if cfg.penalty is not None

@@ -68,6 +68,19 @@ class ReplayBuffer:
         return perm[:cut], perm[cut:]
 
 
+def squashed_gaussian(out: np.ndarray, xi: np.ndarray):
+    """(raw log-std, log-std, sigma, action) of the actor output `out`.
+
+    `out` holds the mean and the raw log-std head side by side;
+    action = tanh(mu + sigma * xi).
+    """
+    act_dim = out.shape[1] // 2
+    raw_ls = out[:, act_dim:]
+    log_std = squash_log_std(raw_ls)
+    sigma = np.exp(log_std)
+    return raw_ls, log_std, sigma, np.tanh(out[:, :act_dim] + sigma * xi)
+
+
 def gaussian_policy_forward(actor: Mlp, obs: np.ndarray, xi: np.ndarray):
     """Reparameterized squashed-Gaussian head on top of the actor trunk.
 
@@ -76,17 +89,10 @@ def gaussian_policy_forward(actor: Mlp, obs: np.ndarray, xi: np.ndarray):
     """
     obs = np.atleast_2d(obs)
     out, cache = actor.forward(obs)
-    act_dim = out.shape[1] // 2
-    mu = out[:, :act_dim]
-    raw_ls = out[:, act_dim:]
-    log_std = squash_log_std(raw_ls)
-    sigma = np.exp(log_std)
-    u = mu + sigma * xi
-    a = np.tanh(u)
+    raw_ls, log_std, sigma, a = squashed_gaussian(out, xi)
     logp = (-0.5 * np.log(2.0 * np.pi) - log_std - 0.5 * xi ** 2
             - np.log(1.0 - a ** 2 + TANH_EPS)).sum(axis=1)
-    return {"obs": obs, "cache": cache, "mu": mu, "raw_ls": raw_ls,
-            "log_std": log_std, "sigma": sigma, "xi": xi, "u": u,
+    return {"cache": cache, "raw_ls": raw_ls, "sigma": sigma, "xi": xi,
             "action": a, "logp": logp}
 
 
@@ -110,16 +116,6 @@ def gaussian_policy_backward(actor: Mlp, fw: dict, grad_action: np.ndarray,
     grad_out = np.concatenate([d_mu, d_raw_ls], axis=1)
     grads, _ = actor.backward(fw["cache"], grad_out)
     return grads
-
-
-def policy_sample(actor: Mlp, obs: np.ndarray, rng: np.random.Generator,
-                  deterministic: bool = False):
-    """Sample an action in (-1, 1)^A and its log-probability."""
-    obs = np.atleast_2d(obs)
-    shape = (obs.shape[0], actor.sizes[-1] // 2)
-    xi = np.zeros(shape) if deterministic else rng.standard_normal(shape)
-    fw = gaussian_policy_forward(actor, obs, xi)
-    return fw["action"], fw["logp"]
 
 
 class SacAgent:
@@ -150,8 +146,12 @@ class SacAgent:
     # -- acting --
 
     def act(self, obs: np.ndarray, deterministic: bool = False) -> np.ndarray:
-        a, _ = policy_sample(self.actor, obs, self.rng, deterministic)
-        return a[0]
+        """An action in (-1, 1)^A; only the action, not the training head."""
+        out = self.actor(np.atleast_2d(obs))
+        shape = (out.shape[0], self.act_dim)
+        xi = (np.zeros(shape) if deterministic
+              else self.rng.standard_normal(shape))
+        return squashed_gaussian(out, xi)[3][0]
 
     # -- targets and losses --
 

@@ -12,6 +12,7 @@ of squares does not: it differs in the last bit on some inputs).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -54,12 +55,9 @@ class RotorcraftParams:
     fuselage_drag_ratio: float
 
     def __post_init__(self):
-        for f in ("profile_drag_coeff", "air_density", "rotor_solidity",
-                  "rotor_disk_area", "blade_angular_velocity", "rotor_radius",
-                  "correction_factor", "uav_weight", "induced_hover_velocity",
-                  "fuselage_drag_ratio"):
-            if getattr(self, f) <= 0:
-                raise ValueError(f"{f} must be positive")
+        for f in dataclasses.fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ValueError(f"{f.name} must be positive")
 
 
 @dataclass

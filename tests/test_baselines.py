@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from uavlc import GreedyPolicy, LedSelection, RandomPolicy, VlcUavEnv, sample_task
-from uavlc.baselines import (cascade_beamformer, greedy_exhaustive_slot,
-                             noma_cascade_amplitudes)
+import uavlc.baselines as baselines
+from uavlc.baselines import (cascade_beamformer, floor_screen,
+                             greedy_exhaustive_slot, noma_cascade_amplitudes)
 from uavlc.metrics import order_users, per_user_rate
 
 from conftest import small_config
@@ -175,6 +176,144 @@ def test_cascade_beamformer_matches_reference_on_its_exits():
     rr = per_user_rate(h_tied, got, sel, np.full(2, 1e-20),
                        order_users(h_tied, got, sel))
     assert not np.all(rr.rates >= 2.0)
+
+
+def exact_floor_test(h_est, w, sel, served, floor, noise_var, t):
+    """The bisection's exact test at scale t, and the order it used."""
+    wt = w * t
+    order = order_users(h_est, wt, sel)
+    rr = per_user_rate(h_est, wt, sel, np.full(h_est.shape[1], noise_var),
+                       order)
+    return bool((rr.rates[served] >= floor).all()), order
+
+
+def threshold_grid(t_star, t_cap):
+    """Scales around t_star: relative steps down to 1e-16, powers of 2^.25."""
+    rel = [s * 10.0 ** -j for j in range(1, 17) for s in (-4, -1, 1, 4)]
+    far = [2.0 ** (k / 4) - 1.0 for k in range(-24, 25)]
+    return [t_star * (1.0 + r) for r in rel + far] + [t_cap]
+
+
+def check_screen(screen, args, scales):
+    """Each verdict the screen gives equals the exact test's answer, and
+    order_users returns the certified order at every scale it covers.
+    Returns how many scales were settled and how many were left."""
+    order, verdict = screen
+    h_est, w, sel, served, floor, noise_var, t_cap = args
+    settled = left = 0
+    for t in scales:
+        want, exact_order = exact_floor_test(h_est, w, sel, served, floor,
+                                             noise_var, t)
+        if 2.0 ** -61 <= t <= t_cap:
+            assert np.array_equal(exact_order, order), t
+        got = verdict(t)
+        if got is None:
+            left += 1
+        else:
+            assert got == want, (t, got)
+            settled += 1
+    return settled, left
+
+
+@pytest.mark.parametrize("k_users", range(1, 13))
+def test_floor_screen_agrees_with_the_exact_test_on_bisections(
+        k_users, monkeypatch):
+    """Every midpoint the bisection visits, and a dense grid around the
+    scale it settles on, on cascade designs."""
+    built = []
+
+    def recording(*args):
+        screen = floor_screen(*args)
+        if screen is None:
+            return None
+        order, verdict = screen
+        visited = []
+
+        def recorded(t):
+            visited.append(t)
+            return verdict(t)
+
+        built.append((args, screen, visited))
+        return order, recorded
+
+    monkeypatch.setattr(baselines, "floor_screen", recording)
+    rng = np.random.default_rng(400 + k_users)
+    settled = left = 0
+    for trial in range(30):
+        h_est, sel = random_slot(rng, k_users)
+        if trial % 3 == 0:
+            h_est[:, rng.integers(k_users)] = 0.0  # a user with no channel
+        bound = 10.0 ** rng.uniform(-3.0, 3.0)
+        r_min = 10.0 ** rng.uniform(-4.0, 0.3)
+        noise = 10.0 ** rng.uniform(-22.0, -14.0)
+        built.clear()
+        cascade_beamformer(h_est, sel, bound, r_min, noise)
+        for args, screen, visited in built:
+            h, w, s, served, floor, noise_var, t_cap = args
+            passing = [t for t in visited
+                       if exact_floor_test(h, w, s, served, floor,
+                                           noise_var, t)[0]]
+            t_star = min(passing) if passing else t_cap
+            got = check_screen(screen, args,
+                               visited + threshold_grid(t_star, t_cap))
+            settled += got[0]
+            left += got[1]
+    assert settled > 0 and left > 0
+
+
+@pytest.mark.parametrize("k_users", range(1, 13))
+def test_floor_screen_agrees_with_the_exact_test_on_any_beams(k_users):
+    """Arbitrary non-negative beams: zero-gain users, near-tied gains (the
+    uncertified path; cascade designs keep gains apart) and small floors."""
+    rng = np.random.default_rng(500 + k_users)
+    settled = left = uncertified = 0
+    for trial in range(40):
+        h_est, sel = random_slot(rng, k_users)
+        w = (rng.random(h_est.shape) * 10.0 ** rng.uniform(-7.0, -3.0, k_users)
+             * sel.a[:, None])
+        if trial % 3 == 0:
+            w[:, rng.integers(k_users)] = 0.0  # a user with zero gain
+        tie = None
+        if trial % 2 and k_users > 1:
+            a, b = rng.choice(k_users, 2, replace=False)
+            amp = np.einsum("nk,nk->k", h_est, w)
+            if amp[a] > 0.0 and amp[b] > 0.0:
+                tie = 10.0 ** rng.uniform(-16.0, -9.0)
+                w[:, b] *= amp[a] / amp[b] * (1.0 + tie)
+        served = rng.random(k_users) < 0.8
+        noise = 10.0 ** rng.uniform(-22.0, -14.0)
+        # S_k and I_k along the order at t = 1; the SINR at scale t is
+        # t^2 S / (t^2 I + N), which tends to S / I
+        cross = (h_est.T @ w) ** 2
+        ks = list(order_users(h_est, w, sel))
+        users = [(cross[k, k], cross[k, ks[pos + 1:]].sum())
+                 for pos, k in enumerate(ks) if served[k]]
+        reach = min([s / i if i > 0.0 else np.inf for s, i in users],
+                    default=np.inf)
+        # a floor down to 1e-4, within reach of every served user
+        floor = min(10.0 ** rng.uniform(-4.0, 0.5),
+                    0.99 * float(np.log2(1.0 + reach)))
+        gamma = 2.0 ** floor - 1.0
+        t2 = max([gamma * noise / (s - gamma * i) if s > gamma * i
+                  else np.inf for s, i in users], default=0.0)
+        t_star = float(np.sqrt(t2))
+        t_cap = (t_star * 10.0 ** rng.uniform(0.0, 2.0)
+                 if 0.0 < t_star < np.inf else 10.0 ** rng.uniform(0.0, 3.0))
+        args = (h_est, w, sel, served, floor, noise, t_cap)
+        screen = floor_screen(*args)
+        if screen is None:
+            uncertified += 1
+            continue
+        # gains tied within 1e-12 cannot carry a certified order
+        assert tie is None or tie > 1e-12
+        if not 0.0 < t_star <= t_cap:
+            t_star = t_cap
+        got = check_screen(screen, args, threshold_grid(t_star, t_cap))
+        settled += got[0]
+        left += got[1]
+    assert settled > 0 and left > 0
+    if k_users > 1:
+        assert uncertified > 0
 
 
 def test_cascade_single_user_oracle():

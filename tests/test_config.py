@@ -1,5 +1,6 @@
 """Configuration loading, validation and hashing."""
 
+import logging
 import math
 
 import pytest
@@ -48,6 +49,27 @@ def test_load_config_empty_file(tmp_path):
     p = tmp_path / "empty.yaml"
     p.write_text("")
     assert load_config(str(p)) == SystemConfig()
+
+
+def test_load_config_warns_when_the_power_floor_exceeds_p_max(tmp_path,
+                                                              caplog):
+    with caplog.at_level(logging.WARNING, logger="uavlc.config"):
+        SystemConfig()  # building a config computes no bound
+        assert not caplog.records
+        load_config(None)
+    # circuit + bias + the least propulsion power, as `uavlc check` reports
+    floor = SystemConfig().power_floor()
+    assert round(floor, 1) == 946.3
+    [record] = caplog.records
+    assert record.levelno == logging.WARNING
+    assert "946.3 W" in record.getMessage()
+    assert "p_max 20 W" in record.getMessage()
+    caplog.clear()
+    p = tmp_path / "budget.yaml"
+    p.write_text(f"p_max: {math.ceil(floor)}\n")
+    with caplog.at_level(logging.WARNING, logger="uavlc.config"):
+        load_config(str(p))
+    assert not caplog.records
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):

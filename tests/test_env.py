@@ -179,3 +179,14 @@ def test_step_returns_the_observation_it_will_act_on(env):
         tr = env.step(rng.uniform(-1, 1, env.action_dim))
         assert np.array_equal(tr.obs, obs)
         obs = tr.next_obs
+
+
+def test_task_refuses_non_finite_geometry(cfg):
+    task = sample_task(cfg, np.random.default_rng(4))
+    users = task.user_positions.copy()
+    users[0, 0] = np.nan
+    with pytest.raises(ValueError, match="user_positions"):
+        Task(user_positions=users, q_init=task.q_init, seed=task.seed)
+    with pytest.raises(ValueError, match="q_init"):
+        Task(user_positions=task.user_positions,
+             q_init=[np.inf, 0.0, 20.0], seed=task.seed)

@@ -143,6 +143,22 @@ def test_policy_actions_bounded_and_deterministic_mode():
     assert not np.array_equal(stoch[0], stoch[1])
 
 
+def test_act_matches_the_training_head_bitwise():
+    agent, _ = small_agent(seed=11)
+    rng = np.random.default_rng()
+    rng.bit_generator.state = agent.rng.bit_generator.state
+    obs_rng = np.random.default_rng(6)
+    for _ in range(50):
+        obs = obs_rng.standard_normal(5) * 10.0 ** obs_rng.uniform(-3, 3)
+        want = gaussian_policy_forward(agent.actor, obs,
+                                       np.zeros((1, 2)))["action"][0]
+        assert agent.act(obs, deterministic=True).tobytes() == want.tobytes()
+        xi = rng.standard_normal((1, 2))
+        want = gaussian_policy_forward(agent.actor, obs, xi)["action"][0]
+        assert agent.act(obs).tobytes() == want.tobytes()
+    assert agent.rng.bit_generator.state == rng.bit_generator.state
+
+
 def test_update_changes_parameters_and_targets_lag():
     agent, _ = small_agent(seed=3)
     rng = np.random.default_rng(12)
