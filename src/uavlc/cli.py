@@ -118,7 +118,7 @@ def cmd_sweep(args):
         train_episodes=args.train_episodes,
         adapt_episodes=args.adapt_episodes,
         meta_iterations=args.meta_iterations)
-    rows = run_experiment(spec, cfg)
+    rows = run_experiment(spec, cfg, workers=args.workers)
     print(f"{len(rows)} rows -> {spec.out_path}")
 
 
@@ -230,6 +230,9 @@ def main(argv=None):
     p.add_argument("--train-episodes", type=int, default=60)
     p.add_argument("--adapt-episodes", type=int, default=20)
     p.add_argument("--meta-iterations", type=int, default=100)
+    p.add_argument("--workers", type=int, default=None,
+                   help="processes to run the sweep on (default: every "
+                        "available CPU); the CSV does not depend on it")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 

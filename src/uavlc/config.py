@@ -131,6 +131,13 @@ class SystemConfig:
             if not cond:
                 raise ValueError(f"config: {msg}")
 
+        # NaN fails every comparison below and inf passes sign checks, so
+        # refuse both first (ints and a None penalty are not floats)
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            for v in value if f.name in ("q_min", "q_max") else (value,):
+                req(not isinstance(v, float) or math.isfinite(v),
+                    f"{f.name} must be finite, got {v}")
         req(0.0 < self.half_power_semiangle_deg < 90.0,
             "half-power semi-angle must be in (0, 90) deg")
         req(0.0 < self.fov_semiangle_deg <= 90.0,

@@ -22,7 +22,7 @@ from uavlc import (ExperimentSpec, GreedyPolicy, LedSelection, MetaSac,
                    train_sac)
 from uavlc.baselines import greedy_exhaustive_slot
 from uavlc.dimming import DimmingConfig, active_led_count, dc_bias_for, dimming_level_of
-from uavlc.harness import make_agent_policy, run_experiment
+from uavlc.harness import make_agent_policy, parallel_map, run_experiment
 from uavlc.metrics import order_users, per_user_rate, total_power
 from uavlc.sac import SacAgent, gaussian_policy_forward
 
@@ -246,22 +246,26 @@ def test_meta_adaptation_beats_sac_beats_greedy_on_mean_power():
     task_rng = np.random.default_rng(7)
     meta.meta_train(lambda: sample_task(cfg, task_rng), 200)
 
-    meta_p, sac_p, greedy_p = [], [], []
-    for t in range(4):  # held-out tasks, disjoint from meta-training draws
+    def pair(unit):
+        # one (held-out task, seed) pair: every env reset and agent is
+        # seeded from the pair and meta_adapt adapts a clone, so the pairs
+        # are independent and may run in any process
+        t, s = unit
         task = sample_task(cfg, np.random.default_rng(500 + t))
         env = VlcUavEnv(cfg, task)
-        for s in range(5):
-            seed = 1000 * t + s
-            adapted = meta.meta_adapt(task, 60, seed=seed)
-            meta_p.append(evaluate(env, make_agent_policy(adapted), 3,
-                                   s)["mean_p_tot"])
-            agent, _, _ = train_sac(env, cfg, seed=seed, episodes=25)
-            sac_p.append(evaluate(env, make_agent_policy(agent), 3,
-                                  s)["mean_p_tot"])
-            greedy_p.append(evaluate(env, GreedyPolicy(env), 3,
-                                     s)["mean_p_tot"])
+        seed = 1000 * t + s
+        adapted = meta.meta_adapt(task, 60, seed=seed)
+        meta_p = evaluate(env, make_agent_policy(adapted), 3,
+                          s)["mean_p_tot"]
+        agent, _, _ = train_sac(env, cfg, seed=seed, episodes=25)
+        sac_p = evaluate(env, make_agent_policy(agent), 3, s)["mean_p_tot"]
+        greedy_p = evaluate(env, GreedyPolicy(env), 3, s)["mean_p_tot"]
+        return meta_p, sac_p, greedy_p
 
-    meta_p, sac_p, greedy_p = map(np.asarray, (meta_p, sac_p, greedy_p))
+    # held-out tasks, disjoint from meta-training draws
+    pairs = [(t, s) for t in range(4) for s in range(5)]
+    meta_p, sac_p, greedy_p = map(np.asarray,
+                                  zip(*parallel_map(pair, pairs)))
     assert meta_p.mean() < sac_p.mean() < greedy_p.mean()
     assert scistats.ttest_rel(meta_p, sac_p,
                               alternative="less").pvalue < 0.05
@@ -374,20 +378,21 @@ def test_energy_efficiency_ordering_meta_sac_random():
     task_rng = np.random.default_rng(7)
     meta.meta_train(lambda: sample_task(cfg, task_rng), 200)
 
-    meta_ee, sac_ee, rand_ee = [], [], []
-    for t in range(4):
+    def pair(unit):     # independent, as in the power-separation test
+        t, s = unit
         task = sample_task(cfg, np.random.default_rng(600 + t))
         env = VlcUavEnv(cfg, task)
-        for s in range(5):
-            seed = 1000 * t + s
-            adapted = meta.meta_adapt(task, 60, seed=seed)
-            meta_ee.append(evaluate(env, make_agent_policy(adapted), 3,
-                                    s)["mean_ee"])
-            agent, _, _ = train_sac(env, cfg, seed=seed, episodes=50)
-            sac_ee.append(evaluate(env, make_agent_policy(agent), 3,
-                                   s)["mean_ee"])
-            rand_ee.append(evaluate(env, RandomPolicy(env, seed=seed), 3,
-                                    s)["mean_ee"])
+        seed = 1000 * t + s
+        adapted = meta.meta_adapt(task, 60, seed=seed)
+        meta_ee = evaluate(env, make_agent_policy(adapted), 3, s)["mean_ee"]
+        agent, _, _ = train_sac(env, cfg, seed=seed, episodes=50)
+        sac_ee = evaluate(env, make_agent_policy(agent), 3, s)["mean_ee"]
+        rand_ee = evaluate(env, RandomPolicy(env, seed=seed), 3,
+                           s)["mean_ee"]
+        return meta_ee, sac_ee, rand_ee
+
+    pairs = [(t, s) for t in range(4) for s in range(5)]
+    meta_ee, sac_ee, rand_ee = zip(*parallel_map(pair, pairs))
     assert np.mean(meta_ee) >= np.mean(sac_ee) >= np.mean(rand_ee), (
         np.mean(meta_ee), np.mean(sac_ee), np.mean(rand_ee))
 

@@ -73,6 +73,19 @@ def test_sweep_writes_csv(cfg_path, tmp_path):
     assert "random" in text
 
 
+def test_sweep_csv_does_not_depend_on_workers(cfg_path, tmp_path):
+    texts = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"sweep{workers}.csv"
+        main(["sweep", "--config", cfg_path, "--var", "K",
+              "--values", "1", "2", "--seeds", "2",
+              "--scheme", "greedy", "random", "--eval-episodes", "1",
+              "--workers", workers, "--out", str(out)])
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+    assert texts[0].count(b"\n") == 2 + 2 * 2 * 2
+
+
 def test_paper_literal_flag(cfg_path, tmp_path):
     out = tmp_path / "trace.csv"
     main(["simulate", "--config", cfg_path, "--seed", "1",

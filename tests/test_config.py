@@ -1,5 +1,6 @@
 """Configuration loading, validation and hashing."""
 
+import dataclasses
 import logging
 import math
 
@@ -92,6 +93,30 @@ def test_validation_rejects_bad_values():
                dict(reward_mode="bogus"), dict(support_fraction=1.0)):
         with pytest.raises(ValueError):
             SystemConfig(**kw)
+
+
+def test_validation_refuses_non_finite_floats():
+    cfg = SystemConfig()
+    floats = [f.name for f in dataclasses.fields(cfg)
+              if isinstance(getattr(cfg, f.name), float)]
+    assert {"p_max", "v_max", "r_min", "noise_var"} <= set(floats)
+    for bad in (math.inf, -math.inf, math.nan):
+        for name in floats + ["penalty"]:
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                cfg.replace(**{name: bad})
+        for name in ("q_min", "q_max"):
+            corner = list(getattr(cfg, name))
+            corner[2] = bad
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                cfg.replace(**{name: corner})
+    assert cfg.replace(penalty=-5.0).penalty == -5.0
+
+
+def test_load_config_refuses_yaml_infinity(tmp_path):
+    p = tmp_path / "inf.yaml"
+    p.write_text("p_max: .inf\n")
+    with pytest.raises(ValueError, match="p_max must be finite"):
+        load_config(str(p))
 
 
 def test_dump_round_trips_through_yaml():

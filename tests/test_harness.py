@@ -1,10 +1,17 @@
-"""Sweep harness: deterministic seeding, paired tasks, CSV idempotence."""
+"""Sweep harness: deterministic seeding, paired tasks, CSV idempotence,
+the ordered process map and sweep resumption."""
+
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 
+import uavlc.harness as harness
 from uavlc import ExperimentSpec, GreedyPolicy, RandomPolicy, VlcUavEnv, evaluate
-from uavlc.harness import derive_seed, paired_task, run_experiment
+from uavlc.harness import (derive_seed, paired_task, parallel_map,
+                           run_experiment, worker_count)
 from uavlc.env import sample_task
 
 from conftest import small_config
@@ -100,3 +107,149 @@ def test_greedy_scheme_through_harness(tmp_path):
     rows = run_experiment(spec, cfg)
     assert len(rows) == 1
     assert rows[0].mean_p_tot > 0
+
+
+# ---------------------------------------------------------------------------
+# parallel_map
+# ---------------------------------------------------------------------------
+
+def test_worker_count_is_bounded_by_workers_cpus_and_units(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    assert worker_count(None, 100) == 8
+    assert worker_count(3, 100) == 3
+    assert worker_count(16, 100) == 8
+    assert worker_count(None, 5) == 5
+    assert worker_count(None, 0) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert worker_count(4, 100) == 1
+    with pytest.raises(ValueError, match="at least 1"):
+        worker_count(0, 5)
+
+
+def _late_first(x):
+    time.sleep(0.02 * (5 - x))   # earlier units finish later
+    return x * x
+
+
+def test_parallel_map_keeps_input_order():
+    assert list(parallel_map(_late_first, range(6), workers=2)) == [
+        x * x for x in range(6)]
+
+
+def test_parallel_map_with_one_worker_runs_in_process():
+    lock = threading.Lock()     # cannot be pickled
+    out = list(parallel_map(lambda x: (os.getpid(), lock.locked(), x),
+                            [1, 2, 3], workers=1))
+    assert out == [(os.getpid(), False, x) for x in (1, 2, 3)]
+
+
+def _fail_at_three(x):
+    if x == 3:
+        raise KeyError(f"unit {x}")
+    return x
+
+
+def test_parallel_map_raises_a_units_exception_with_its_type():
+    for workers in (1, 2):
+        got = []
+        with pytest.raises(KeyError, match="unit 3"):
+            for x in parallel_map(_fail_at_three, range(6), workers=workers):
+                got.append(x)
+        assert got == [0, 1, 2]
+
+
+def _own_and_nested_pids(_):
+    return os.getpid(), list(parallel_map(lambda _: os.getpid(), range(2),
+                                          workers=2))
+
+
+def test_parallel_map_nested_in_a_worker_runs_in_that_worker():
+    results = list(parallel_map(_own_and_nested_pids, range(2), workers=2))
+    for own, nested in results:
+        assert nested == [own, own]
+    if worker_count(2, 2) > 1:
+        assert all(own != os.getpid() for own, _ in results)
+
+
+# ---------------------------------------------------------------------------
+# worker counts and resumption
+# ---------------------------------------------------------------------------
+
+def resume_spec(path):
+    return ExperimentSpec(scenario="resume", sweep_var="R_min",
+                          sweep_values=[0.1, 0.2], seeds=2,
+                          schemes=["meta-sac", "random", "greedy"],
+                          out_path=str(path), eval_episodes=1,
+                          adapt_episodes=1, meta_iterations=1)
+
+
+def test_run_experiment_rows_do_not_depend_on_workers(tmp_path):
+    cfg = small_config()
+    p1, p2 = tmp_path / "one.csv", tmp_path / "two.csv"
+    rows1 = run_experiment(resume_spec(p1), cfg, workers=1)
+    rows2 = run_experiment(resume_spec(p2), cfg, workers=2)
+    assert p1.read_bytes() == p2.read_bytes()
+    assert rows1 == rows2
+
+
+def _count_calls(monkeypatch, name, fail_at=None):
+    """Count calls of a harness function; optionally raise on one."""
+    calls = []
+    original = getattr(harness, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == fail_at:
+            raise RuntimeError("cut short")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, counted)
+    return calls
+
+
+def test_cut_short_sweep_resumes_to_the_same_bytes(tmp_path, monkeypatch):
+    cfg = small_config()
+    whole, cut = tmp_path / "whole.csv", tmp_path / "cut.csv"
+    rows = run_experiment(resume_spec(whole), cfg, workers=1)
+    assert len(rows) == 12
+
+    with monkeypatch.context() as m:
+        # the seventh unit raises: the first sweep value's six rows stay
+        _count_calls(m, "run_scheme", fail_at=7)
+        with pytest.raises(RuntimeError, match="cut short"):
+            run_experiment(resume_spec(cut), cfg, workers=1)
+    assert cut.read_bytes().count(b"\n") == 2 + 6
+
+    scheme_calls = _count_calls(monkeypatch, "run_scheme")
+    meta_calls = _count_calls(monkeypatch, "meta_train_for")
+    assert run_experiment(resume_spec(cut), cfg, workers=1) == rows
+    assert cut.read_bytes() == whole.read_bytes()
+    # only the second value's six units ran, and only its meta-training
+    assert [(a[0], a[1].r_min) for a in scheme_calls] == [
+        (s, 0.2) for _ in range(2) for s in ("meta-sac", "random", "greedy")]
+    assert [a[0].r_min for a in meta_calls] == [0.2]
+
+    scheme_calls.clear()
+    meta_calls.clear()
+    assert run_experiment(resume_spec(cut), cfg, workers=1) == rows
+    assert cut.read_bytes() == whole.read_bytes()
+    assert scheme_calls == [] and meta_calls == []
+
+
+def test_run_experiment_refuses_no_workers_before_writing(tmp_path):
+    path = tmp_path / "rows.csv"
+    with pytest.raises(ValueError, match="at least 1"):
+        run_experiment(micro_spec(path), small_config(), workers=0)
+    assert not path.exists()
+
+
+def test_run_experiment_refuses_a_partly_written_row(tmp_path):
+    cfg = small_config()
+    path = tmp_path / "rows.csv"
+    spec = micro_spec(path, schemes=("random",))
+    run_experiment(spec, cfg, workers=1)
+    path.write_bytes(path.read_bytes()[:-5])
+    content = path.read_bytes()
+    with pytest.raises(ValueError, match="partly written row"):
+        run_experiment(spec, cfg, workers=1)
+    assert path.read_bytes() == content
