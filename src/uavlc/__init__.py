@@ -13,8 +13,9 @@ from .uav import (FlightConfig, RotorcraftParams, UavState, step_kinematics,
 from .metrics import (PowerBreakdown, RateReport, QosConfig, order_users,
                       per_user_rate, total_power, energy_efficiency,
                       check_p1_feasibility)
-from .env import Task, AllocationAction, Transition, EpisodeTrace, VlcUavEnv, sample_task
-from .sac import ReplayBuffer, SacAgent, run_episode, train_sac
+from .env import (Task, AllocationAction, Transition, EpisodeTrace, VlcUavEnv,
+                  rollout, sample_task)
+from .sac import ReplayBuffer, SacAgent, learn_online, train_sac
 from .meta import MetaSac
 from .baselines import RandomPolicy, GreedyPolicy
 from .harness import ExperimentSpec, ResultRow, evaluate, run_experiment

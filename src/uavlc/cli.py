@@ -14,7 +14,7 @@ import numpy as np
 
 from .baselines import GreedyPolicy, RandomPolicy
 from .config import load_config
-from .env import VlcUavEnv, sample_task
+from .env import VlcUavEnv, rollout, sample_task
 from .harness import (ExperimentSpec, derive_seed, evaluate,
                       make_agent_policy, run_experiment)
 from .meta import MetaSac
@@ -39,20 +39,20 @@ def _task_for(cfg, seed):
     return sample_task(cfg, np.random.default_rng(derive_seed("task", seed)))
 
 
+def _policy_for(args, env):
+    """The policy `--scheme` names; `agent` loads `--checkpoint`."""
+    if args.scheme == "greedy":
+        return GreedyPolicy(env)
+    if args.scheme == "random":
+        return RandomPolicy(env, seed=args.seed)
+    return make_agent_policy(SacAgent.load(args.checkpoint, env.cfg,
+                                           env.obs_dim, env.action_dim))
+
+
 def cmd_simulate(args):
     cfg = _load_cfg(args)
     env = VlcUavEnv(cfg, _task_for(cfg, args.seed))
-    if args.scheme == "greedy":
-        policy = GreedyPolicy(env)
-    elif args.scheme == "random":
-        policy = RandomPolicy(env, seed=args.seed)
-    else:
-        agent = SacAgent.load(args.checkpoint, cfg, env.obs_dim,
-                               env.action_dim)
-        policy = make_agent_policy(agent)
-    obs = env.reset(seed=args.seed)
-    while not env.done:
-        obs = env.step(policy(obs)).next_obs
+    rollout(env, _policy_for(args, env), args.seed)
     env.trace.write_csv(args.out)
     print(f"episode trace ({len(env.trace.rows)} slots) -> {args.out}")
     print(f"mean P_Tot: {env.trace.mean('p_total'):.3f} W, "
@@ -95,15 +95,7 @@ def cmd_adapt(args):
 def cmd_eval(args):
     cfg = _load_cfg(args)
     env = VlcUavEnv(cfg, _task_for(cfg, args.seed))
-    if args.scheme == "greedy":
-        policy = GreedyPolicy(env)
-    elif args.scheme == "random":
-        policy = RandomPolicy(env, seed=args.seed)
-    else:
-        agent = SacAgent.load(args.checkpoint, cfg, env.obs_dim,
-                               env.action_dim)
-        policy = make_agent_policy(agent)
-    stats = evaluate(env, policy, args.episodes, args.seed)
+    stats = evaluate(env, _policy_for(args, env), args.episodes, args.seed)
     for k, v in stats.items():
         print(f"{k}: {v:.6g}")
 
@@ -126,7 +118,7 @@ def cmd_check(args):
     """Small invariant suite runnable without pytest."""
     import math
 
-    from .channel import lambertian_order, los_channel_gain, OpticsParams
+    from .channel import lambertian_order, los_channel_gain
     from .dimming import (DimmingConfig, active_led_count, dc_bias_for,
                           dimming_level_of)
     from .uav import hover_power, propulsion_power
@@ -141,9 +133,7 @@ def cmd_check(args):
 
     check("lambertian order at 60 deg is 1",
           abs(lambertian_order(math.radians(60)) - 1.0) < 1e-12)
-    optics = OpticsParams(cfg.half_power_semiangle, cfg.fov_semiangle,
-                          cfg.pd_area_m2, cfg.refractive_index)
-    h = los_channel_gain(np.array([0, 0, 10.0]), np.zeros(3), optics)
+    h = los_channel_gain(np.array([0, 0, 10.0]), np.zeros(3), cfg.optics())
     check("nadir gain positive", h > 0)
     dim = DimmingConfig(eta=0.55, i_low=cfg.i_low, i_high=cfg.i_high,
                         n_leds=cfg.n_leds)
@@ -241,6 +231,8 @@ def main(argv=None):
     p.set_defaults(func=cmd_check)
 
     args = parser.parse_args(argv)
+    if getattr(args, "scheme", None) == "agent" and args.checkpoint is None:
+        parser.error(f"{args.command} --scheme agent needs --checkpoint")
     args.func(args)
 
 

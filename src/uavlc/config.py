@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import yaml
 
+from .channel import OpticsParams
 from .dimming import DimmingConfig, active_led_count, dc_bias_for
 from .metrics import PowerBreakdown
 from .uav import RotorcraftParams, min_propulsion_power
@@ -170,6 +171,13 @@ class SystemConfig:
             "support fraction must be in (0, 1)")
 
     # -- physics parameter sets --
+
+    def optics(self) -> OpticsParams:
+        """The LED and photo-diode optics of the channel model."""
+        return OpticsParams(
+            half_power_semiangle=self.half_power_semiangle,
+            fov_semiangle=self.fov_semiangle, pd_area=self.pd_area_m2,
+            refractive_index=self.refractive_index)
 
     def rotor(self) -> RotorcraftParams:
         """The rotor power model's parameters (same field names)."""

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import (ChannelState, OpticsParams, channel_matrix,
-                      los_channel_gain, perturb_csi)
+from .channel import (ChannelState, channel_matrix, los_channel_gain,
+                      perturb_csi)
 from .config import SystemConfig
 from .dimming import (LedSelection, active_led_count, beamforming_bound,
                       dc_bias_for, project_beamformer, select_leds)
@@ -108,11 +108,7 @@ class VlcUavEnv:
     def __init__(self, cfg: SystemConfig, task: Task):
         self.cfg = cfg
         self.task = task
-        self.optics = OpticsParams(
-            half_power_semiangle=cfg.half_power_semiangle,
-            fov_semiangle=cfg.fov_semiangle,
-            pd_area=cfg.pd_area_m2,
-            refractive_index=cfg.refractive_index)
+        self.optics = cfg.optics()
         self.dim_cfg = cfg.dimming()
         self.flight_cfg = FlightConfig(
             slot_duration=cfg.slot_duration, n_slots=cfg.n_slots,
@@ -271,3 +267,21 @@ class VlcUavEnv:
     @property
     def done(self) -> bool:
         return self._done
+
+
+def rollout(env, policy, seed: int, on_step=None) -> float:
+    """Run one episode of `env` from `reset(seed)`; its summed reward.
+
+    `policy` maps an observation to a raw action. `on_step`, if given,
+    receives each `Transition` right after its step, before the next
+    action is chosen. Rewards are added in step order.
+    """
+    obs = env.reset(seed=seed)
+    total = 0.0
+    while not env.done:
+        tr = env.step(policy(obs))
+        if on_step is not None:
+            on_step(tr)
+        total += tr.reward
+        obs = tr.next_obs
+    return total

@@ -28,7 +28,7 @@ import numpy as np
 
 from .baselines import GreedyPolicy, RandomPolicy
 from .config import SystemConfig
-from .env import Task, VlcUavEnv, sample_task
+from .env import Task, VlcUavEnv, rollout, sample_task
 from .meta import MetaSac
 from .sac import SacAgent, train_sac
 
@@ -146,9 +146,7 @@ def evaluate(env: VlcUavEnv, policy, episodes: int, seed: int) -> dict:
     """Deterministic multi-episode evaluation of a raw-action policy."""
     p_tot, sum_rate, ee, feas = [], [], [], []
     for ep in range(episodes):
-        obs = env.reset(seed=derive_seed("eval", seed, ep))
-        while not env.done:
-            obs = env.step(policy(obs)).next_obs
+        rollout(env, policy, derive_seed("eval", seed, ep))
         trace = env.trace
         p_tot.append(trace.mean("p_total"))
         sum_rate.append(trace.mean("sum_rate"))

@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .config import SystemConfig
-from .env import Task, VlcUavEnv
-from .sac import ReplayBuffer, SacAgent, read_checkpoint
+from .env import Task, VlcUavEnv, rollout
+from .sac import ReplayBuffer, SacAgent, learn_online, read_checkpoint
 
 
 class MetaSac:
@@ -78,17 +78,15 @@ class MetaSac:
             adapted_agents = []
             query_batches = []
             for env, buf in zip(envs, buffers):
+                def policy(obs):
+                    # buf.size: the warm-up spans iterations, as buf does
+                    if buf.size < cfg.warmup_steps:
+                        return self.rng.uniform(-1.0, 1.0, env.action_dim)
+                    return self.agent.act(obs)
+
                 for _ in range(cfg.episodes_per_task):
-                    obs = env.reset(seed=int(self.rng.integers(2**31)))
-                    while not env.done:
-                        if buf.size < cfg.warmup_steps:
-                            raw = self.rng.uniform(-1.0, 1.0, env.action_dim)
-                        else:
-                            raw = self.agent.act(obs)
-                        tr = env.step(raw)
-                        buf.add(tr.obs, tr.raw_action, tr.reward,
-                                tr.next_obs, tr.done)
-                        obs = tr.next_obs
+                    rollout(env, policy, int(self.rng.integers(2**31)),
+                            buf.store)
                 support_idx, query_idx = buf.split_indices(
                     cfg.support_fraction, self.rng)
                 adapted = self.inner_adapt(buf, support_idx, cfg.inner_steps)
@@ -108,25 +106,10 @@ class MetaSac:
     def meta_adapt(self, task: Task, episodes: int,
                    seed: int = 0) -> SacAgent:
         """Fine-tune a copy of the meta-initialization on a fresh task."""
-        cfg = self.cfg
         agent = self.agent.clone()
         agent.rng = np.random.default_rng([seed, 11])
-        if episodes == 0:
-            return agent
-        env = VlcUavEnv(cfg, task)
-        d_ada = ReplayBuffer(cfg.buffer_capacity, env.obs_dim,
-                             env.action_dim)
-        rng = np.random.default_rng([seed, 13])
-        for _ in range(episodes):
-            obs = env.reset(seed=int(rng.integers(2**31)))
-            while not env.done:
-                raw = agent.act(obs)
-                tr = env.step(raw)
-                d_ada.add(tr.obs, tr.raw_action, tr.reward, tr.next_obs,
-                          tr.done)
-                obs = tr.next_obs
-                if len(d_ada) >= cfg.batch_size:
-                    agent.update(d_ada.sample(cfg.batch_size, agent.rng))
+        learn_online(VlcUavEnv(self.cfg, task), agent,
+                     np.random.default_rng([seed, 13]), episodes, 0)
         return agent
 
     # -- checkpoints --

@@ -12,6 +12,7 @@ import json
 import numpy as np
 
 from .config import SystemConfig
+from .env import rollout
 from .nets import (Adam, Mlp, soft_update, squash_log_std,
                    squash_log_std_grad)
 
@@ -46,6 +47,10 @@ class ReplayBuffer:
         self.done[i] = float(done)
         self._pos = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
+
+    def store(self, tr):
+        """Add an env `Transition`."""
+        self.add(tr.obs, tr.raw_action, tr.reward, tr.next_obs, tr.done)
 
     def get(self, idx: np.ndarray) -> dict:
         return {"obs": self.obs[idx], "act": self.act[idx],
@@ -313,47 +318,38 @@ def read_checkpoint(path: str) -> tuple[dict, dict]:
     return arrays, header
 
 
-def run_episode(env, policy, buffer: ReplayBuffer | None = None,
-                episode_seed: int | None = None):
-    """Roll one episode; policy maps an observation to a raw action."""
-    obs = env.reset(seed=episode_seed)
-    total = 0.0
-    while not env.done:
-        raw = policy(obs)
-        tr = env.step(raw)
-        if buffer is not None:
-            buffer.add(tr.obs, tr.raw_action, tr.reward, tr.next_obs, tr.done)
-        total += tr.reward
-        obs = tr.next_obs
-    return total, env.trace
+def learn_online(env, agent: SacAgent, rng: np.random.Generator,
+                 episodes: int, warmup_steps: int):
+    """Online SAC on `env`: roll `episodes` episodes into a fresh buffer.
 
-
-def train_sac(env, cfg: SystemConfig, seed: int, episodes: int,
-              agent: SacAgent | None = None,
-              buffer: ReplayBuffer | None = None):
-    """Plain single-task SAC training loop."""
-    if agent is None:
-        agent = SacAgent(env.obs_dim, env.action_dim, cfg, seed=seed)
-    if buffer is None:
-        buffer = ReplayBuffer(cfg.buffer_capacity, env.obs_dim,
-                              env.action_dim)
-    rng = np.random.default_rng([seed, 1])
+    Episode seeds come from `rng`, and so do the uniform random actions of
+    the first `warmup_steps` steps; after those, the agent acts. Once the
+    buffer holds a batch and the warm-up is over, every step makes one
+    update. Returns the buffer and the per-episode returns.
+    """
+    cfg = agent.cfg
+    buffer = ReplayBuffer(cfg.buffer_capacity, env.obs_dim, env.action_dim)
     steps = 0
-    returns = []
-    for ep in range(episodes):
-        obs = env.reset(seed=int(rng.integers(2**31)))
-        total = 0.0
-        while not env.done:
-            if steps < cfg.warmup_steps:
-                raw = rng.uniform(-1.0, 1.0, env.action_dim)
-            else:
-                raw = agent.act(obs)
-            tr = env.step(raw)
-            buffer.add(tr.obs, tr.raw_action, tr.reward, tr.next_obs, tr.done)
-            obs = tr.next_obs
-            total += tr.reward
-            steps += 1
-            if len(buffer) >= cfg.batch_size and steps >= cfg.warmup_steps:
-                agent.update(buffer.sample(cfg.batch_size, agent.rng))
-        returns.append(total)
-    return agent, buffer, returns
+
+    def policy(obs):
+        if steps < warmup_steps:
+            return rng.uniform(-1.0, 1.0, env.action_dim)
+        return agent.act(obs)
+
+    def learn(tr):
+        nonlocal steps
+        buffer.store(tr)
+        steps += 1
+        if len(buffer) >= cfg.batch_size and steps >= warmup_steps:
+            agent.update(buffer.sample(cfg.batch_size, agent.rng))
+
+    returns = [rollout(env, policy, int(rng.integers(2**31)), learn)
+               for _ in range(episodes)]
+    return buffer, returns
+
+
+def train_sac(env, cfg: SystemConfig, seed: int, episodes: int):
+    """Plain single-task SAC from a fresh agent; (agent, buffer, returns)."""
+    agent = SacAgent(env.obs_dim, env.action_dim, cfg, seed=seed)
+    rng = np.random.default_rng([seed, 1])
+    return (agent, *learn_online(env, agent, rng, episodes, cfg.warmup_steps))

@@ -416,8 +416,8 @@ def test_sweep_rows_regenerate_bit_identically(tmp_path):
     rows2 = run_experiment(spec(p2), cfg)
     assert p1.read_bytes() == p2.read_bytes()
     assert rows1 == rows2
-    # re-running against an existing file recomputes identical rows and
-    # appends nothing
+    # re-running against an existing file reads the same rows back from it
+    # and appends nothing
     rows3 = run_experiment(spec(p1), cfg)
     assert rows3 == rows1
     assert p1.read_bytes() == p2.read_bytes()

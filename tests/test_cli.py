@@ -63,6 +63,17 @@ def test_train_and_eval_round_trip(cfg_path, tmp_path, capsys):
     assert "mean_p_tot" in out
 
 
+@pytest.mark.parametrize("command", [
+    ["eval"], ["eval", "--scheme", "agent"],
+    ["simulate", "--scheme", "agent", "--out", "unused.csv"]])
+def test_agent_scheme_without_checkpoint_is_a_usage_error(cfg_path, capsys,
+                                                          command):
+    with pytest.raises(SystemExit) as exit_info:
+        main(command + ["--config", cfg_path])
+    assert exit_info.value.code == 2
+    assert "--checkpoint" in capsys.readouterr().err
+
+
 def test_sweep_writes_csv(cfg_path, tmp_path):
     out = tmp_path / "sweep.csv"
     main(["sweep", "--config", cfg_path, "--var", "R_min",

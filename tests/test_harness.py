@@ -72,7 +72,7 @@ def test_run_experiment_writes_and_is_idempotent(tmp_path):
     content1 = path.read_text()
     assert content1.startswith("# config_hash=")
     assert len(rows1) == 2 * 2 * 2  # values x seeds x schemes
-    # second run recomputes identical rows but appends nothing new
+    # second run reads the same rows back from the CSV, appends nothing new
     rows2 = run_experiment(micro_spec(path), cfg)
     assert path.read_text() == content1
     for r1, r2 in zip(rows1, rows2):

@@ -1,0 +1,209 @@
+"""The learning loops against their earlier hand-written step loops.
+
+`train_sac`, `MetaSac.meta_adapt` and `MetaSac.meta_train` once each wrote
+out their own reset/step/store loop; they now run `env.rollout` (the first
+two through `sac.learn_online`). The earlier loops are kept below verbatim
+(renamed `reference_*`, methods as functions of the `MetaSac`), and every
+test asserts exact equality with them: returns, network parameters, replay
+buffer rows and the RNG states, on a warm-up that spans several episodes.
+"""
+
+import numpy as np
+import pytest
+
+from uavlc import MetaSac, ReplayBuffer, SacAgent, sample_task, train_sac
+from uavlc.env import VlcUavEnv
+from uavlc.sac import NETS, learn_online
+
+from conftest import small_config
+
+# ---------------------------------------------------------------------------
+# the earlier loops, verbatim
+# ---------------------------------------------------------------------------
+
+
+def reference_train_sac(env, cfg, seed: int, episodes: int,
+                        agent=None, buffer=None):
+    """Plain single-task SAC training loop."""
+    if agent is None:
+        agent = SacAgent(env.obs_dim, env.action_dim, cfg, seed=seed)
+    if buffer is None:
+        buffer = ReplayBuffer(cfg.buffer_capacity, env.obs_dim,
+                              env.action_dim)
+    rng = np.random.default_rng([seed, 1])
+    steps = 0
+    returns = []
+    for ep in range(episodes):
+        obs = env.reset(seed=int(rng.integers(2**31)))
+        total = 0.0
+        while not env.done:
+            if steps < cfg.warmup_steps:
+                raw = rng.uniform(-1.0, 1.0, env.action_dim)
+            else:
+                raw = agent.act(obs)
+            tr = env.step(raw)
+            buffer.add(tr.obs, tr.raw_action, tr.reward, tr.next_obs, tr.done)
+            obs = tr.next_obs
+            total += tr.reward
+            steps += 1
+            if len(buffer) >= cfg.batch_size and steps >= cfg.warmup_steps:
+                agent.update(buffer.sample(cfg.batch_size, agent.rng))
+        returns.append(total)
+    return agent, buffer, returns
+
+
+def reference_meta_adapt(self, task, episodes: int, seed: int = 0):
+    """Fine-tune a copy of the meta-initialization on a fresh task."""
+    cfg = self.cfg
+    agent = self.agent.clone()
+    agent.rng = np.random.default_rng([seed, 11])
+    if episodes == 0:
+        return agent
+    env = VlcUavEnv(cfg, task)
+    d_ada = ReplayBuffer(cfg.buffer_capacity, env.obs_dim,
+                         env.action_dim)
+    rng = np.random.default_rng([seed, 13])
+    for _ in range(episodes):
+        obs = env.reset(seed=int(rng.integers(2**31)))
+        while not env.done:
+            raw = agent.act(obs)
+            tr = env.step(raw)
+            d_ada.add(tr.obs, tr.raw_action, tr.reward, tr.next_obs,
+                      tr.done)
+            obs = tr.next_obs
+            if len(d_ada) >= cfg.batch_size:
+                agent.update(d_ada.sample(cfg.batch_size, agent.rng))
+    return agent
+
+
+def reference_meta_train(self, task_sampler, iterations: int,
+                         checkpoint_path=None):
+    """Alternate per-task rollouts, inner adaptation, one outer step."""
+    cfg = self.cfg
+    tasks = [task_sampler() for _ in range(cfg.meta_task_count)]
+    self.task_seeds = [t.seed for t in tasks]
+    envs = [VlcUavEnv(cfg, t) for t in tasks]
+    buffers = [ReplayBuffer(cfg.buffer_capacity, envs[0].obs_dim,
+                            envs[0].action_dim)
+               for _ in tasks]
+    history = []
+    for it in range(iterations):
+        adapted_agents = []
+        query_batches = []
+        for env, buf in zip(envs, buffers):
+            for _ in range(cfg.episodes_per_task):
+                obs = env.reset(seed=int(self.rng.integers(2**31)))
+                while not env.done:
+                    if buf.size < cfg.warmup_steps:
+                        raw = self.rng.uniform(-1.0, 1.0, env.action_dim)
+                    else:
+                        raw = self.agent.act(obs)
+                    tr = env.step(raw)
+                    buf.add(tr.obs, tr.raw_action, tr.reward,
+                            tr.next_obs, tr.done)
+                    obs = tr.next_obs
+            support_idx, query_idx = buf.split_indices(
+                cfg.support_fraction, self.rng)
+            adapted = self.inner_adapt(buf, support_idx, cfg.inner_steps)
+            q_idx = self.rng.choice(
+                query_idx, size=cfg.batch_size,
+                replace=len(query_idx) < cfg.batch_size)
+            adapted_agents.append(adapted)
+            query_batches.append(buf.get(q_idx))
+        losses = self.outer_update(adapted_agents, query_batches)
+        losses["iteration"] = it
+        history.append(losses)
+        self.iteration += 1
+    if checkpoint_path is not None:
+        self.save(checkpoint_path)
+    return history
+
+
+# ---------------------------------------------------------------------------
+# comparisons
+# ---------------------------------------------------------------------------
+
+# 5 slots per episode: the 12-step warm-up ends inside the third episode,
+# and with an 8-row batch it is the warm-up that holds the first update back
+def learn_config(**overrides):
+    return small_config(warmup_steps=12, batch_size=8, **overrides)
+
+
+def make_env(cfg, seed=42):
+    return VlcUavEnv(cfg, sample_task(cfg, np.random.default_rng(seed)))
+
+
+def assert_same_agent(a, b):
+    for name in NETS:
+        assert np.array_equal(getattr(a, name).flat, getattr(b, name).flat)
+    for name in ("adam_actor", "adam_q1", "adam_q2"):
+        adam_a, adam_b = getattr(a, name), getattr(b, name)
+        assert adam_a.t == adam_b.t
+        assert np.array_equal(adam_a.m, adam_b.m)
+        assert np.array_equal(adam_a.v, adam_b.v)
+    assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+
+def assert_same_buffer(a, b):
+    assert (a.size, a._pos) == (b.size, b._pos)
+    for key in ("obs", "act", "rew", "next_obs", "done"):
+        assert np.array_equal(getattr(a, key), getattr(b, key))
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_train_sac_matches_reference_bitwise(seed):
+    cfg = learn_config()
+    agent, buf, returns = train_sac(make_env(cfg), cfg, seed=seed,
+                                    episodes=6)
+    ref_agent, ref_buf, ref_returns = reference_train_sac(
+        make_env(cfg), cfg, seed=seed, episodes=6)
+    assert returns == ref_returns
+    assert_same_agent(agent, ref_agent)
+    assert_same_buffer(buf, ref_buf)
+    assert ref_agent.adam_actor.t > 0     # the comparison covers updates
+
+
+@pytest.mark.parametrize("episodes", [0, 1, 5])
+def test_meta_adapt_matches_reference_bitwise(episodes):
+    cfg = learn_config()
+    env = make_env(cfg)
+    meta = MetaSac(cfg, env.obs_dim, env.action_dim, seed=3)
+    task = sample_task(cfg, np.random.default_rng(4))
+    adapted = meta.meta_adapt(task, episodes, seed=9)
+    ref = reference_meta_adapt(meta, task, episodes, seed=9)
+    assert_same_agent(adapted, ref)
+
+
+def test_learn_online_without_warmup_matches_reference_bitwise():
+    # meta_adapt keeps its buffer to itself; its loop is train_sac's with
+    # no warm-up, so the buffer rows are compared on that loop
+    cfg = learn_config()
+    env = make_env(cfg)
+    base = SacAgent(env.obs_dim, env.action_dim, cfg, seed=3)
+    agent, ref_agent = base.clone(), base.clone()
+    buf, returns = learn_online(env, agent, np.random.default_rng([9, 1]),
+                                5, 0)
+    _, ref_buf, ref_returns = reference_train_sac(
+        make_env(cfg), cfg.replace(warmup_steps=0), seed=9, episodes=5,
+        agent=ref_agent)
+    assert returns == ref_returns
+    assert_same_agent(agent, ref_agent)
+    assert_same_buffer(buf, ref_buf)
+
+
+def test_meta_train_matches_reference_bitwise():
+    cfg = learn_config(meta_task_count=2, episodes_per_task=2)
+    probe = make_env(cfg)
+    metas = [MetaSac(cfg, probe.obs_dim, probe.action_dim, seed=5)
+             for _ in range(2)]
+    task_rngs = [np.random.default_rng(6) for _ in range(2)]
+    history = metas[0].meta_train(
+        lambda: sample_task(cfg, task_rngs[0]), iterations=3)
+    ref_history = reference_meta_train(
+        metas[1], lambda: sample_task(cfg, task_rngs[1]), iterations=3)
+    assert history == ref_history
+    assert metas[0].task_seeds == metas[1].task_seeds
+    assert metas[0].iteration == metas[1].iteration == 3
+    assert (metas[0].rng.bit_generator.state
+            == metas[1].rng.bit_generator.state)
+    assert_same_agent(metas[0].agent, metas[1].agent)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from uavlc import ReplayBuffer, SacAgent, run_episode, train_sac
+from uavlc import ReplayBuffer, SacAgent, rollout, train_sac
 from uavlc.baselines import RandomPolicy
 from uavlc.nets import Mlp
 from uavlc.sac import gaussian_policy_forward
@@ -273,10 +273,11 @@ def test_act_runs_the_actor_forward_once(monkeypatch):
     assert calls == [agent.actor, agent.actor]
 
 
-def test_run_episode_fills_buffer(env):
+def test_rollout_fills_buffer(env):
     buf = ReplayBuffer(100, env.obs_dim, env.action_dim)
     policy = RandomPolicy(env, seed=0)
-    total, trace = run_episode(env, policy, buffer=buf, episode_seed=1)
+    total = rollout(env, policy, 1, buf.store)
+    trace = env.trace
     assert len(buf) == env.cfg.n_slots
     assert len(trace.rows) == env.cfg.n_slots
     assert total == pytest.approx(sum(r["reward"] for r in trace.rows))
