@@ -38,7 +38,8 @@ uses eps = 1e-11 + 1e-13/gamma, ten times that bound within its range.
 Range. The screen is built only for n + K <= 1000, 2^-30 <= gamma <= 2^100,
 2^-300 <= N <= 2^300, t_cap <= 2^40 and every entry of h_est and of the
 active beams 0 or in [2^-200, 2^40], and it settles only scales in
-[2^-61, t_cap] (the bracket starts at hi >= 1 and halves at most 60 times).
+[2^-61, t_cap] (the bracket starts at hi >= 1 and halves at most
+BISECT_ITERS = 60 times).
 There every product, gain and sum is 0 or a normal float, so the bounds hold
 and a zero gain is exactly zero at every scale; only a SINR quotient can
 underflow, by less than 2^-1074, far inside the margin gamma eps >= 1e-13.
@@ -71,6 +72,9 @@ from .metrics import per_user_rate, order_users, total_power
 
 # relative rounding budget of the floor screen and of its order certificate
 SCREEN_TOL = 1e-11
+ORDER_MARGIN = 0.3   # least relative gap between consecutive cascade powers
+HEADROOM = 0.05      # relative rate-floor headroom of the greedy design
+BISECT_ITERS = 60    # most halvings of the greedy bisection bracket
 
 
 class RandomPolicy:
@@ -96,7 +100,6 @@ class RandomPolicy:
 
 def noma_cascade_amplitudes(gains: np.ndarray, r_min: float,
                             noise_var: float,
-                            order_margin: float = 0.3,
                             max_iters: int = 200) -> np.ndarray:
     """Near-minimal effective signal amplitudes meeting the rate floor.
 
@@ -106,13 +109,12 @@ def noma_cascade_amplitudes(gains: np.ndarray, r_min: float,
     effective amplitudes ascending along the decoding order while every
     SINR clears the floor. The least such point is found by a monotone
     fixed-point iteration (raise any user below its SINR requirement, then
-    restore strict ordering). order_margin keeps consecutive effective
+    restore strict ordering). ORDER_MARGIN keeps consecutive effective
     powers separated by a relative gap, so the realized decoding order
     survives channel-estimate error. When the requirements diverge the
-    floor is
-    unreachable at any power and the current iterate is returned (it will
-    be capped at the dynamic-range bound downstream). Zero-gain users get
-    zero: their floor is unreachable regardless of power.
+    floor is unreachable at any power and the current iterate is returned
+    (it will be capped at the dynamic-range bound downstream). Zero-gain
+    users get zero: their floor is unreachable regardless of power.
     """
     gamma = float(2.0 ** r_min - 1.0)
     served = np.flatnonzero(gains > 0.0)
@@ -139,7 +141,7 @@ def noma_cascade_amplitudes(gains: np.ndarray, r_min: float,
                 e[pos] = req
                 changed = True
         for pos in range(1, n):
-            floor = e[pos - 1] * (1.0 + order_margin)
+            floor = e[pos - 1] * (1.0 + ORDER_MARGIN)
             if e[pos] < floor:
                 e[pos] = floor
                 changed = True
@@ -207,23 +209,22 @@ def floor_screen(h_est: np.ndarray, w: np.ndarray, selection: LedSelection,
 
 
 def cascade_beamformer(h_est: np.ndarray, selection: LedSelection,
-                       bound: float, r_min: float, noise_var: float,
-                       headroom: float = 0.05,
-                       bisect_iters: int = 60) -> np.ndarray:
+                       bound: float, r_min: float,
+                       noise_var: float) -> np.ndarray:
     """Minimum-common-scale beamformer for one slot.
 
     Columns are proportional to the (non-negative) estimated channel over
     active LEDs with cascade norms; a bisection on the common scale finds
     the smallest multiple meeting the rate floor for every user on
-    estimated channels. The floor is designed with a small relative
-    headroom so the point survives bounded channel-estimate error when
+    estimated channels. The floor is designed with a relative HEADROOM
+    so the point survives bounded channel-estimate error when
     judged on true channels. The scale is capped so no LED row exceeds
     the dynamic-range bound.
     """
     n, k_users = h_est.shape
     active = selection.a.astype(bool)
     n_a = selection.n_active
-    r_target = r_min * (1.0 + headroom)
+    r_target = r_min * (1.0 + HEADROOM)
     # co-located array: per-LED gain equals the column mean over active rows
     col_gain = h_est[active].mean(axis=0) if n_a else np.zeros(k_users)
     eff_gain = col_gain * n_a
@@ -262,7 +263,7 @@ def cascade_beamformer(h_est: np.ndarray, selection: LedSelection,
         hi = t_cap
         if not meets_floor(hi):
             return w * t_cap
-    for _ in range(bisect_iters):
+    for _ in range(BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         # hi has passed and lo (0, or a checked point) has failed, so a
         # midpoint that rounds onto either leaves the bracket unchanged
@@ -278,21 +279,19 @@ def cascade_beamformer(h_est: np.ndarray, selection: LedSelection,
 class GreedyPolicy:
     """Per-slot greedy allocation plus a centroid-and-return flight plan."""
 
-    def __init__(self, env, cruise_altitude: float | None = None):
+    def __init__(self, env):
         self.env = env
         cfg = env.cfg
         centroid = env.task.user_positions.mean(axis=0)
-        if cruise_altitude is None:
-            # lowest altitude keeping every user inside the receiver
-            # field of view from the hover point: low hovering spreads the
-            # channel gains apart, which the decoding order needs
-            r_max = float(np.max(np.linalg.norm(
-                env.task.user_positions[:, :2] - centroid[:2], axis=1)))
-            fov = cfg.fov_semiangle
-            z_fov = 1.05 * r_max / max(math.tan(fov), 1e-9)
-            cruise_altitude = min(max(cfg.q_min[2], z_fov), cfg.q_max[2])
-        self.cruise_altitude = cruise_altitude
-        self.target = np.array([centroid[0], centroid[1], cruise_altitude])
+        # lowest altitude keeping every user inside the receiver field of
+        # view from the hover point: low hovering spreads the channel gains
+        # apart, which the decoding order needs
+        r_max = float(np.max(np.linalg.norm(
+            env.task.user_positions[:, :2] - centroid[:2], axis=1)))
+        z_fov = 1.05 * r_max / max(math.tan(env.optics.fov_semiangle), 1e-9)
+        self.cruise_altitude = min(max(cfg.q_min[2], z_fov), cfg.q_max[2])
+        self.target = np.array([centroid[0], centroid[1],
+                                self.cruise_altitude])
         q_min, q_max = np.asarray(cfg.q_min), np.asarray(cfg.q_max)
         margin = 0.02 * (q_max - q_min)
         self.target = np.clip(self.target, q_min + margin, q_max - margin)

@@ -41,7 +41,6 @@ class ChannelState:
     true_gain: np.ndarray     # H, N x K
     est_gain: np.ndarray      # H_hat, N x K
     noise_var: np.ndarray     # sigma_k^2, length K
-    uncertainty_radius: float # delta
 
 
 def lambertian_order(half_power_semiangle: float) -> float:

@@ -15,10 +15,15 @@ import numpy as np
 from .baselines import GreedyPolicy, RandomPolicy
 from .config import load_config
 from .env import VlcUavEnv, rollout, sample_task
-from .harness import (ExperimentSpec, derive_seed, evaluate,
-                      make_agent_policy, run_experiment)
+from .harness import (SCHEMES, SWEEP_VARS, ExperimentSpec, derive_seed,
+                      evaluate, make_agent_policy, run_experiment)
 from .meta import MetaSac
 from .sac import SacAgent, train_sac
+
+
+POLICIES = ("greedy", "random", "agent")     # --scheme of simulate and eval
+BUDGETS = ("eval_episodes", "train_episodes", "adapt_episodes",
+           "meta_iterations")                 # per-point sweep budgets
 
 
 def _common(p: argparse.ArgumentParser):
@@ -74,8 +79,8 @@ def cmd_meta_train(args):
     probe = VlcUavEnv(cfg, _task_for(cfg, args.seed))
     meta = MetaSac(cfg, probe.obs_dim, probe.action_dim, seed=args.seed)
     rng = np.random.default_rng(derive_seed("meta-tasks", args.seed))
-    history = meta.meta_train(lambda: sample_task(cfg, rng),
-                              args.iterations, checkpoint_path=args.out)
+    history = meta.meta_train(lambda: sample_task(cfg, rng), args.iterations)
+    meta.save(args.out)
     print(f"meta-trained {args.iterations} iterations on "
           f"{cfg.meta_task_count} tasks; checkpoint -> {args.out}")
     if history:
@@ -106,10 +111,7 @@ def cmd_sweep(args):
         scenario=args.scenario, sweep_var=args.var,
         sweep_values=[float(v) for v in args.values],
         seeds=args.seeds, schemes=args.scheme, out_path=args.out,
-        eval_episodes=args.eval_episodes,
-        train_episodes=args.train_episodes,
-        adapt_episodes=args.adapt_episodes,
-        meta_iterations=args.meta_iterations)
+        **{budget: getattr(args, budget) for budget in BUDGETS})
     rows = run_experiment(spec, cfg, workers=args.workers)
     print(f"{len(rows)} rows -> {spec.out_path}")
 
@@ -174,8 +176,7 @@ def main(argv=None):
 
     p = sub.add_parser("simulate", help="single-episode trace CSV")
     _common(p)
-    p.add_argument("--scheme", default="greedy",
-                   choices=["greedy", "random", "agent"])
+    p.add_argument("--scheme", default="greedy", choices=POLICIES)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
@@ -201,8 +202,7 @@ def main(argv=None):
 
     p = sub.add_parser("eval", help="evaluate a scheme or checkpoint")
     _common(p)
-    p.add_argument("--scheme", default="agent",
-                   choices=["greedy", "random", "agent"])
+    p.add_argument("--scheme", default="agent", choices=POLICIES)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--episodes", type=int, default=5)
     p.set_defaults(func=cmd_eval)
@@ -210,16 +210,13 @@ def main(argv=None):
     p = sub.add_parser("sweep", help="experiment sweep to CSV")
     _common(p)
     p.add_argument("--scenario", default="sweep")
-    p.add_argument("--var", required=True,
-                   choices=["K", "P_max", "R_min", "N"])
+    p.add_argument("--var", required=True, choices=SWEEP_VARS)
     p.add_argument("--values", nargs="+", required=True)
     p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--scheme", nargs="+", required=True,
-                   choices=["meta-sac", "sac", "greedy", "random"])
-    p.add_argument("--eval-episodes", type=int, default=3)
-    p.add_argument("--train-episodes", type=int, default=60)
-    p.add_argument("--adapt-episodes", type=int, default=20)
-    p.add_argument("--meta-iterations", type=int, default=100)
+    p.add_argument("--scheme", nargs="+", required=True, choices=SCHEMES)
+    for budget in BUDGETS:
+        p.add_argument("--" + budget.replace("_", "-"), type=int,
+                       default=getattr(ExperimentSpec, budget))
     p.add_argument("--workers", type=int, default=None,
                    help="processes to run the sweep on (default: every "
                         "available CPU); the CSV does not depend on it")

@@ -18,7 +18,7 @@ import yaml
 
 from .channel import OpticsParams
 from .dimming import DimmingConfig, active_led_count, dc_bias_for
-from .metrics import PowerBreakdown
+from .metrics import PowerBreakdown, QosConfig
 from .uav import RotorcraftParams, min_propulsion_power
 
 log = logging.getLogger(__name__)
@@ -112,21 +112,6 @@ class SystemConfig:
         self.hidden_sizes = tuple(int(v) for v in self.hidden_sizes)
         self.validate()
 
-    # -- derived quantities --
-
-    @property
-    def i_zero(self) -> float:
-        """Original DC bias I_0 = (I_l + I_h)/2, full-array 100% dimming."""
-        return 0.5 * (self.i_low + self.i_high)
-
-    @property
-    def half_power_semiangle(self) -> float:
-        return math.radians(self.half_power_semiangle_deg)
-
-    @property
-    def fov_semiangle(self) -> float:
-        return math.radians(self.fov_semiangle_deg)
-
     def validate(self):
         def req(cond, msg):
             if not cond:
@@ -139,19 +124,14 @@ class SystemConfig:
             for v in value if f.name in ("q_min", "q_max") else (value,):
                 req(not isinstance(v, float) or math.isfinite(v),
                     f"{f.name} must be finite, got {v}")
-        req(0.0 < self.half_power_semiangle_deg < 90.0,
-            "half-power semi-angle must be in (0, 90) deg")
-        req(0.0 < self.fov_semiangle_deg <= 90.0,
-            "FOV semi-angle must be in (0, 90] deg")
-        req(self.pd_area_m2 > 0, "PD area must be positive")
-        req(self.refractive_index >= 0, "refractive index must be >= 0")
+        # each physics parameter set checks its own rules
+        try:
+            for build in (self.optics, self.dimming, self.rotor, self.qos):
+                build()
+        except ValueError as e:
+            raise ValueError(f"config: {e}") from e
         req(self.noise_var > 0, "noise variance must be positive")
         req(self.csi_radius >= 0, "CSI radius must be non-negative")
-        req(self.n_leds >= 1, "need at least one LED")
-        req(0.0 < self.dimming_level <= 1.0, "dimming level must be in (0, 1]")
-        req(self.i_low < self.i_high, "need i_low < i_high")
-        req(self.r_min > 0, "r_min must be positive")
-        req(self.p_max > 0, "p_max must be positive")
         req(self.slot_duration > 0, "slot duration must be positive")
         req(self.n_slots >= 1, "need at least one slot")
         req(self.v_max > 0, "v_max must be positive")
@@ -160,13 +140,24 @@ class SystemConfig:
             "q_min/q_max must be 3-vectors")
         req(all(a < b for a, b in zip(self.q_min, self.q_max)),
             "q_min must be component-wise below q_max")
-        for f in dataclasses.fields(RotorcraftParams):
-            req(getattr(self, f.name) > 0, f"{f.name} must be positive")
         req(self.n_users >= 1, "need at least one user")
         req(self.reward_mode in ("penalty", "paper"),
             "reward_mode must be 'penalty' or 'paper'")
         req(0.0 < self.gamma <= 1.0, "gamma must be in (0, 1]")
         req(self.entropy_weight >= 0, "entropy weight must be non-negative")
+        req(0.0 < self.polyak <= 1.0,
+            f"polyak must be in (0, 1], got {self.polyak}")
+        for name, least in (("batch_size", 1), ("buffer_capacity", 1),
+                            ("meta_task_count", 1), ("episodes_per_task", 1),
+                            ("warmup_steps", 0), ("inner_steps", 0)):
+            value = getattr(self, name)
+            req(value >= least,
+                f"{name} must be at least {least}, got {value}")
+        req(all(h >= 1 for h in self.hidden_sizes),
+            f"hidden_sizes must be at least 1, got {self.hidden_sizes}")
+        for name in ("lr_actor", "lr_critic1", "lr_critic2", "lr_inner"):
+            value = getattr(self, name)
+            req(value > 0, f"{name} must be positive, got {value}")
         req(0.0 < self.support_fraction < 1.0,
             "support fraction must be in (0, 1)")
 
@@ -175,9 +166,9 @@ class SystemConfig:
     def optics(self) -> OpticsParams:
         """The LED and photo-diode optics of the channel model."""
         return OpticsParams(
-            half_power_semiangle=self.half_power_semiangle,
-            fov_semiangle=self.fov_semiangle, pd_area=self.pd_area_m2,
-            refractive_index=self.refractive_index)
+            half_power_semiangle=math.radians(self.half_power_semiangle_deg),
+            fov_semiangle=math.radians(self.fov_semiangle_deg),
+            pd_area=self.pd_area_m2, refractive_index=self.refractive_index)
 
     def rotor(self) -> RotorcraftParams:
         """The rotor power model's parameters (same field names)."""
@@ -189,6 +180,10 @@ class SystemConfig:
         """The dimming settings the env decodes actions under."""
         return DimmingConfig(eta=self.dimming_level, i_low=self.i_low,
                              i_high=self.i_high, n_leds=self.n_leds)
+
+    def qos(self) -> QosConfig:
+        """The rate floor and power budget of constraints C1 and C2."""
+        return QosConfig(r_min=self.r_min, p_max=self.p_max)
 
     def power_floor(self) -> float:
         """Least P_Tot any slot can draw [W].

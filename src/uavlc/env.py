@@ -25,7 +25,7 @@ from .channel import (ChannelState, channel_matrix, los_channel_gain,
 from .config import SystemConfig
 from .dimming import (LedSelection, active_led_count, beamforming_bound,
                       dc_bias_for, project_beamformer, select_leds)
-from .metrics import QosConfig, check_p1_feasibility
+from .metrics import check_p1_feasibility
 from .uav import (FlightConfig, UavState, clamp_velocity, hover_power,
                   propulsion_power, step_kinematics)
 
@@ -116,7 +116,7 @@ class VlcUavEnv:
             q_min=np.asarray(cfg.q_min), q_max=np.asarray(cfg.q_max),
             q_init=task.q_init, return_tolerance=cfg.return_tolerance)
         self.rotor = cfg.rotor()
-        self.qos = QosConfig(r_min=cfg.r_min, p_max=cfg.p_max)
+        self.qos = cfg.qos()
         self.hover = hover_power(self.rotor)
         self.penalty = (cfg.penalty if cfg.penalty is not None
                         else -(cfg.p_max + self.hover.total))
@@ -221,9 +221,8 @@ class VlcUavEnv:
         h = channel_matrix(self._uav.position, self.task.user_positions,
                            self.optics, self.cfg.n_leds)
         h_hat = perturb_csi(h, self.cfg.csi_radius, self._rng)
-        self._channels = ChannelState(
-            true_gain=h, est_gain=h_hat, noise_var=self._noise,
-            uncertainty_radius=self.cfg.csi_radius)
+        self._channels = ChannelState(true_gain=h, est_gain=h_hat,
+                                      noise_var=self._noise)
         chan = np.log1p(h_hat / self._h_ref).ravel()
         if self.cfg.observe_pose:
             uav = self._uav

@@ -35,6 +35,7 @@ from .sac import SacAgent, train_sac
 SWEEP_VARS = {"K": "n_users", "P_max": "p_max", "R_min": "r_min",
               "N": "n_leds"}
 SCHEMES = ("meta-sac", "sac", "greedy", "random")
+_COUNTS = ("n_users", "n_leds")     # swept as ints
 
 
 @dataclass
@@ -56,6 +57,11 @@ class ExperimentSpec:
                              f"{sorted(SWEEP_VARS)}")
         if not self.sweep_values:
             raise ValueError("sweep values must be non-empty")
+        if SWEEP_VARS[self.sweep_var] in _COUNTS:
+            for v in self.sweep_values:
+                if not float(v).is_integer():
+                    raise ValueError(f"{self.sweep_var} values must be "
+                                     f"whole numbers, got {v!r}")
         if self.seeds < 1:
             raise ValueError("need at least one seed")
         if not self.schemes:
@@ -159,8 +165,8 @@ def evaluate(env: VlcUavEnv, policy, episodes: int, seed: int) -> dict:
             "feasibility_fraction": float(np.mean(feas))}
 
 
-def make_agent_policy(agent: SacAgent, deterministic: bool = True):
-    return lambda obs: agent.act(obs, deterministic=deterministic)
+def make_agent_policy(agent: SacAgent):
+    return lambda obs: agent.act(obs, deterministic=True)
 
 
 def paired_task(cfg: SystemConfig, spec: ExperimentSpec, base_hash: str,
@@ -184,7 +190,7 @@ def paired_task(cfg: SystemConfig, spec: ExperimentSpec, base_hash: str,
 
 def _apply_sweep(cfg: SystemConfig, var: str, value) -> SystemConfig:
     attr = SWEEP_VARS[var]
-    if attr in ("n_users", "n_leds"):
+    if attr in _COUNTS:
         value = int(value)
     return cfg.replace(**{attr: value})
 

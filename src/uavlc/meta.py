@@ -63,8 +63,7 @@ class MetaSac:
 
     # -- phases --
 
-    def meta_train(self, task_sampler, iterations: int,
-                   checkpoint_path: str | None = None) -> list[dict]:
+    def meta_train(self, task_sampler, iterations: int) -> list[dict]:
         """Alternate per-task rollouts, inner adaptation, one outer step."""
         cfg = self.cfg
         tasks = [task_sampler() for _ in range(cfg.meta_task_count)]
@@ -99,8 +98,6 @@ class MetaSac:
             losses["iteration"] = it
             history.append(losses)
             self.iteration += 1
-        if checkpoint_path is not None:
-            self.save(checkpoint_path)
         return history
 
     def meta_adapt(self, task: Task, episodes: int,

@@ -66,10 +66,13 @@ class ReplayBuffer:
 
     def split_indices(self, support_fraction: float,
                       rng: np.random.Generator):
-        """Disjoint support/query partition of the whole buffer."""
+        """Disjoint, non-empty support/query partition of the whole buffer."""
+        if self.size < 2:
+            raise ValueError(f"cannot split a buffer of {self.size} rows into "
+                             f"support and query sets; need at least 2")
         perm = rng.permutation(self.size)
         cut = max(1, int(round(support_fraction * self.size)))
-        cut = min(cut, self.size - 1) if self.size > 1 else 1
+        cut = min(cut, self.size - 1)
         return perm[:cut], perm[cut:]
 
 

@@ -63,6 +63,16 @@ def test_train_and_eval_round_trip(cfg_path, tmp_path, capsys):
     assert "mean_p_tot" in out
 
 
+def test_meta_train_and_adapt_round_trip(cfg_path, tmp_path, capsys):
+    meta_ckpt, agent_ckpt = tmp_path / "meta.npz", tmp_path / "agent.npz"
+    main(["meta-train", "--config", cfg_path, "--seed", "3",
+          "--iterations", "1", "--out", str(meta_ckpt)])
+    main(["adapt", "--config", cfg_path, "--seed", "3", "--episodes", "1",
+          "--checkpoint", str(meta_ckpt), "--out", str(agent_ckpt)])
+    assert agent_ckpt.exists()
+    assert "meta-trained 1 iterations" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", [
     ["eval"], ["eval", "--scheme", "agent"],
     ["simulate", "--scheme", "agent", "--out", "unused.csv"]])

@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import math
+import re
 
 import pytest
 
@@ -13,8 +14,9 @@ def test_defaults_are_valid():
     cfg = SystemConfig()
     assert cfg.n_leds == 10
     assert cfg.v_max == 10.0
-    assert cfg.half_power_semiangle == pytest.approx(math.radians(60.0))
-    assert cfg.i_zero == pytest.approx(0.005)
+    assert cfg.optics().half_power_semiangle == pytest.approx(
+        math.radians(60.0))
+    assert cfg.dimming().i_zero == pytest.approx(0.005)
 
 
 def test_replace_returns_new_validated_config():
@@ -93,6 +95,30 @@ def test_validation_rejects_bad_values():
                dict(reward_mode="bogus"), dict(support_fraction=1.0)):
         with pytest.raises(ValueError):
             SystemConfig(**kw)
+
+
+def test_physics_rules_are_refused_as_config_errors():
+    for kw in (dict(half_power_semiangle_deg=90.0),
+               dict(fov_semiangle_deg=0.0), dict(fov_semiangle_deg=90.5),
+               dict(pd_area_m2=0.0),
+               dict(refractive_index=-1.0), dict(n_leds=0),
+               dict(dimming_level=1.5), dict(i_low=0.01, i_high=0.01),
+               dict(r_min=0.0), dict(p_max=-1.0), dict(rotor_radius=0.0)):
+        with pytest.raises(ValueError, match="^config: "):
+            SystemConfig(**kw)
+
+
+def test_validation_refuses_unusable_learning_fields():
+    for name, bad in (("batch_size", 0), ("buffer_capacity", 0),
+                      ("hidden_sizes", (8, 0)), ("episodes_per_task", 0),
+                      ("meta_task_count", 0), ("lr_actor", -1.0),
+                      ("lr_inner", 0.0), ("polyak", 2.0), ("polyak", 0.0),
+                      ("inner_steps", -1), ("warmup_steps", -5)):
+        with pytest.raises(ValueError,
+                           match=f"^config: {name} .*{re.escape(str(bad))}"):
+            SystemConfig(**{name: bad})
+    cfg = SystemConfig(polyak=1.0, warmup_steps=0, inner_steps=0)
+    assert (cfg.polyak, cfg.warmup_steps, cfg.inner_steps) == (1.0, 0, 0)
 
 
 def test_validation_refuses_non_finite_floats():

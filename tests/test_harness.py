@@ -57,6 +57,16 @@ def test_spec_validation():
                        seeds=1, schemes=["nope"], out_path="x.csv")
 
 
+def test_spec_refuses_fractional_counts():
+    for var, values, bad in (("K", [2.5, 3.7], "2.5"), ("N", [4, 4.5], "4.5")):
+        with pytest.raises(ValueError, match=f"{var} values .* got {bad}"):
+            ExperimentSpec(scenario="t", sweep_var=var, sweep_values=values,
+                           seeds=1, schemes=["random"], out_path="x.csv")
+    for var, values in (("K", [2, 3.0]), ("P_max", [2.5])):
+        ExperimentSpec(scenario="t", sweep_var=var, sweep_values=values,
+                       seeds=1, schemes=["random"], out_path="x.csv")
+
+
 def micro_spec(path, schemes=("random", "greedy")):
     return ExperimentSpec(scenario="micro", sweep_var="R_min",
                           sweep_values=[0.1, 0.2], seeds=2,

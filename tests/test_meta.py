@@ -111,6 +111,13 @@ def test_meta_train_progresses_and_records_history():
     assert {"actor", "critic1", "critic2", "iteration"} <= set(history[0])
 
 
+def test_meta_train_on_one_row_per_task_names_the_buffer_size():
+    cfg, probe, meta = meta_setup(n_slots=1)
+    rng = np.random.default_rng(6)
+    with pytest.raises(ValueError, match="buffer of 1 rows"):
+        meta.meta_train(lambda: sample_task(cfg, rng), iterations=1)
+
+
 def test_meta_checkpoint_round_trip(tmp_path):
     cfg, probe, meta = meta_setup(warmup_steps=5)
     rng = np.random.default_rng(6)

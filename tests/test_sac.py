@@ -132,6 +132,17 @@ def test_replay_buffer_split_is_disjoint_partition():
     assert len(support) == 24
 
 
+def test_replay_buffer_split_refuses_fewer_than_two_rows():
+    buf = ReplayBuffer(capacity=5, obs_dim=1, act_dim=1)
+    rng = np.random.default_rng(3)
+    for size in (0, 1):
+        with pytest.raises(ValueError, match=f"buffer of {size} rows"):
+            buf.split_indices(0.8, rng)
+        buf.add([0.0], [0.0], 0.0, [0.0], False)
+    support, query = buf.split_indices(0.8, rng)
+    assert len(support) == len(query) == 1
+
+
 def test_policy_actions_bounded_and_deterministic_mode():
     agent, _ = small_agent(seed=2)
     obs = np.random.default_rng(5).standard_normal(5)

@@ -241,8 +241,7 @@ class ReferenceEnv(VlcUavEnv):
         h_hat = perturb_csi(h, self.cfg.csi_radius, self._rng)
         self._channels = ChannelState(
             true_gain=h, est_gain=h_hat,
-            noise_var=np.full(self.cfg.n_users, self.cfg.noise_var),
-            uncertainty_radius=self.cfg.csi_radius)
+            noise_var=np.full(self.cfg.n_users, self.cfg.noise_var))
 
     def _observation(self):
         chan = np.log1p(self._channels.est_gain / self._h_ref).ravel()
