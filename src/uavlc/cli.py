@@ -26,6 +26,10 @@ BUDGETS = ("eval_episodes", "train_episodes", "adapt_episodes",
            "meta_iterations")                 # per-point sweep budgets
 
 
+class UsageError(Exception):
+    """Refused user input: `main` reports it in one line, exit status 2."""
+
+
 def _common(p: argparse.ArgumentParser):
     p.add_argument("--config", default=None, help="YAML config path")
     p.add_argument("--seed", type=int, default=0)
@@ -34,7 +38,10 @@ def _common(p: argparse.ArgumentParser):
 
 
 def _load_cfg(args):
-    cfg = load_config(args.config)
+    try:
+        cfg = load_config(args.config)
+    except (OSError, ValueError) as err:
+        raise UsageError(err) from err
     if args.paper_literal:
         cfg = cfg.replace(reward_mode="paper", observe_pose=False)
     return cfg
@@ -107,11 +114,14 @@ def cmd_eval(args):
 
 def cmd_sweep(args):
     cfg = _load_cfg(args)
-    spec = ExperimentSpec(
-        scenario=args.scenario, sweep_var=args.var,
-        sweep_values=[float(v) for v in args.values],
-        seeds=args.seeds, schemes=args.scheme, out_path=args.out,
-        **{budget: getattr(args, budget) for budget in BUDGETS})
+    try:
+        spec = ExperimentSpec(
+            scenario=args.scenario, sweep_var=args.var,
+            sweep_values=[float(v) for v in args.values],
+            seeds=args.seeds, schemes=args.scheme, out_path=args.out,
+            **{budget: getattr(args, budget) for budget in BUDGETS})
+    except ValueError as err:
+        raise UsageError(err) from err
     rows = run_experiment(spec, cfg, workers=args.workers)
     print(f"{len(rows)} rows -> {spec.out_path}")
 
@@ -230,7 +240,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if getattr(args, "scheme", None) == "agent" and args.checkpoint is None:
         parser.error(f"{args.command} --scheme agent needs --checkpoint")
-    args.func(args)
+    try:
+        args.func(args)
+    except UsageError as err:
+        parser.exit(2, f"{parser.prog} {args.command}: error: {err}\n")
 
 
 if __name__ == "__main__":

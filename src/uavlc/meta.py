@@ -13,7 +13,8 @@ import numpy as np
 
 from .config import SystemConfig
 from .env import Task, VlcUavEnv, rollout
-from .sac import ReplayBuffer, SacAgent, learn_online, read_checkpoint
+from .sac import (ReplayBuffer, SacAgent, learn_online, read_checkpoint,
+                  require_split)
 
 
 class MetaSac:
@@ -39,16 +40,20 @@ class MetaSac:
 
     # -- outer loop --
 
-    def outer_update(self, adapted_agents: list[SacAgent],
-                     query_batches: list[dict]) -> dict:
-        """One global ADAM step on the summed query losses (first order)."""
-        if not adapted_agents:
-            raise ValueError("need at least one adapted task")
+    def outer_update(self, tasks) -> dict:
+        """One global ADAM step on the summed query losses (first order).
+
+        `tasks` yields (adapted agent, query batch) pairs. Each pair's query
+        gradients and losses join running sums in task order, and the pair
+        is dropped before the next one is drawn, so a generator that adapts
+        on demand keeps one adapted agent alive at a time.
+        """
         sums = None
         losses = {"actor": 0.0, "critic1": 0.0, "critic2": 0.0}
-        for adapted, batch in zip(adapted_agents, query_batches):
+        for adapted, batch in tasks:
             (g1, l1), (g2, l2) = adapted.critic_grads(batch)
             ga, la = adapted.actor_grads(batch)
+            del adapted, batch
             if sums is None:
                 sums = [ga, g1, g2]
             else:
@@ -58,14 +63,22 @@ class MetaSac:
             losses["actor"] += la
             losses["critic1"] += l1
             losses["critic2"] += l2
+        if sums is None:
+            raise ValueError("need at least one adapted task")
         self.agent.apply_grads(*sums)
         return losses
 
     # -- phases --
 
     def meta_train(self, task_sampler, iterations: int) -> list[dict]:
-        """Alternate per-task rollouts, inner adaptation, one outer step."""
+        """Alternate per-task rollouts, inner adaptation, one outer step.
+
+        Refuses, before any rollout, a config whose first iteration leaves
+        a task buffer too small to split into support and query sets.
+        """
         cfg = self.cfg
+        require_split(min(cfg.buffer_capacity,
+                          cfg.n_slots * cfg.episodes_per_task))
         tasks = [task_sampler() for _ in range(cfg.meta_task_count)]
         self.task_seeds = [t.seed for t in tasks]
         envs = [VlcUavEnv(cfg, t) for t in tasks]
@@ -74,31 +87,39 @@ class MetaSac:
                    for _ in tasks]
         history = []
         for it in range(iterations):
-            adapted_agents = []
-            query_batches = []
-            for env, buf in zip(envs, buffers):
-                def policy(obs):
-                    # buf.size: the warm-up spans iterations, as buf does
-                    if buf.size < cfg.warmup_steps:
-                        return self.rng.uniform(-1.0, 1.0, env.action_dim)
-                    return self.agent.act(obs)
-
-                for _ in range(cfg.episodes_per_task):
-                    rollout(env, policy, int(self.rng.integers(2**31)),
-                            buf.store)
-                support_idx, query_idx = buf.split_indices(
-                    cfg.support_fraction, self.rng)
-                adapted = self.inner_adapt(buf, support_idx, cfg.inner_steps)
-                q_idx = self.rng.choice(
-                    query_idx, size=cfg.batch_size,
-                    replace=len(query_idx) < cfg.batch_size)
-                adapted_agents.append(adapted)
-                query_batches.append(buf.get(q_idx))
-            losses = self.outer_update(adapted_agents, query_batches)
+            losses = self.outer_update(self._adapted_tasks(envs, buffers))
             losses["iteration"] = it
             history.append(losses)
             self.iteration += 1
         return history
+
+    def _adapted_tasks(self, envs, buffers):
+        """Per task, in order: roll its episodes into its buffer, adapt on
+        the support rows and draw a query batch; yields (adapted, batch).
+
+        Each adapted agent draws only from its own copy of the RNG, so
+        taking its query gradients before the next task's rollouts, rather
+        than after all of them, changes no number.
+        """
+        cfg = self.cfg
+        for env, buf in zip(envs, buffers):
+            def policy(obs):
+                # buf.size: the warm-up spans iterations, as buf does
+                if buf.size < cfg.warmup_steps:
+                    return self.rng.uniform(-1.0, 1.0, env.action_dim)
+                return self.agent.act(obs)
+
+            for _ in range(cfg.episodes_per_task):
+                rollout(env, policy, int(self.rng.integers(2**31)),
+                        buf.store)
+            support_idx, query_idx = buf.split_indices(
+                cfg.support_fraction, self.rng)
+            adapted = self.inner_adapt(buf, support_idx, cfg.inner_steps)
+            q_idx = self.rng.choice(
+                query_idx, size=cfg.batch_size,
+                replace=len(query_idx) < cfg.batch_size)
+            yield adapted, buf.get(q_idx)
+            del adapted
 
     def meta_adapt(self, task: Task, episodes: int,
                    seed: int = 0) -> SacAgent:

@@ -72,28 +72,48 @@ class Mlp:
         acts = [x]
         n_layers = len(self.weights)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = acts[-1] @ w + b
-            acts.append(np.tanh(z) if i < n_layers - 1 else z)
+            z = acts[-1] @ w
+            z += b
+            if i < n_layers - 1:
+                np.tanh(z, out=z)
+            acts.append(z)
         return acts[-1], acts
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)[0]
 
-    def backward(self, cache, grad_out: np.ndarray):
+    def backward(self, cache, grad_out: np.ndarray, need_dx: bool = True):
         """Gradients of a scalar loss given d(loss)/d(output).
 
         Returns (parameter gradient aligned with .flat, d(loss)/d(input)).
+        With `need_dx` false the input gradient is None and its layer-0
+        product is skipped.
         """
         grad = np.empty_like(self.flat)
         grads_w, grads_b = self._layer_views(grad)
         delta = np.atleast_2d(grad_out)
         for i in reversed(range(len(self.weights))):
-            grads_w[i][...] = cache[i].T @ delta
-            grads_b[i][...] = delta.sum(axis=0)
-            delta = delta @ self.weights[i].T
-            if i > 0:
-                delta = delta * (1.0 - cache[i] ** 2)
+            np.matmul(cache[i].T, delta, out=grads_w[i])
+            np.sum(delta, axis=0, out=grads_b[i])
+            if i == 0 and not need_dx:
+                return grad, None
+            delta = self._delta_below(i, cache, delta)
         return grad, delta
+
+    def input_grad(self, cache, grad_out: np.ndarray) -> np.ndarray:
+        """d(loss)/d(input) alone: `backward`'s dx, bit for bit, without
+        the parameter gradient."""
+        delta = np.atleast_2d(grad_out)
+        for i in reversed(range(len(self.weights))):
+            delta = self._delta_below(i, cache, delta)
+        return delta
+
+    def _delta_below(self, i: int, cache, delta: np.ndarray) -> np.ndarray:
+        """d(loss)/d(input of layer i) from d(loss)/d(its output)."""
+        delta = delta @ self.weights[i].T
+        if i > 0:
+            delta *= 1.0 - cache[i] ** 2
+        return delta
 
 
 class Adam:
@@ -108,20 +128,37 @@ class Adam:
         self.t = 0
         self.m = np.zeros_like(params_like)
         self.v = np.zeros_like(params_like)
+        # scratch for the step's temporaries, so a step allocates nothing
+        self._a = np.empty_like(params_like)
+        self._b = np.empty_like(params_like)
 
     def step(self, params: np.ndarray, grads: np.ndarray):
-        """Update `params` in place."""
+        """Update `params` in place.
+
+        The operations, in order, are those of m = b1 m + (1 - b1) g,
+        v = b2 v + (1 - b2) g g and
+        params -= lr (m / bc1) / (sqrt(v / bc2) + eps), each into scratch.
+        """
         if params.shape != grads.shape or params.shape != self.m.shape:
             raise ValueError("params/grads length mismatch")
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        self.m *= self.beta1
-        self.m += (1 - self.beta1) * grads
-        self.v *= self.beta2
-        self.v += (1 - self.beta2) * grads * grads
-        params -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2)
-                                              + self.eps)
+        m, v, a, b = self.m, self.v, self._a, self._b
+        m *= self.beta1
+        np.multiply(1 - self.beta1, grads, out=a)
+        m += a
+        v *= self.beta2
+        np.multiply(1 - self.beta2, grads, out=a)
+        a *= grads
+        v += a
+        np.divide(m, bc1, out=a)
+        np.multiply(self.lr, a, out=a)
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        params -= a
 
 
 def soft_update(target: Mlp, online: Mlp, coefficient: float):

@@ -20,18 +20,27 @@ TANH_EPS = 1e-6
 CHECKPOINT_VERSION = 3
 NETS = ("actor", "q1", "q2", "tq1", "tq2")
 OPTIMIZERS = ("adam_actor", "adam_q1", "adam_q2")
+BUFFER_FIELDS = ("obs", "act", "rew", "next_obs", "done")
+INITIAL_ROWS = 256
 
 
 class ReplayBuffer:
-    """Uniform ring buffer of transitions; batches sample without replacement."""
+    """Uniform ring buffer of transitions; batches sample without replacement.
+
+    Storage starts at min(`capacity`, `INITIAL_ROWS`) rows and doubles, up
+    to `capacity`, whenever a row arrives with every row taken. The ring
+    wraps only once `capacity` rows are stored, so rows, ring position and
+    every index drawn depend on `size` alone, never on the storage length.
+    """
 
     def __init__(self, capacity: int, obs_dim: int, act_dim: int):
         self.capacity = capacity
-        self.obs = np.zeros((capacity, obs_dim))
-        self.act = np.zeros((capacity, act_dim))
-        self.rew = np.zeros(capacity)
-        self.next_obs = np.zeros((capacity, obs_dim))
-        self.done = np.zeros(capacity)
+        rows = min(capacity, INITIAL_ROWS)
+        self.obs = np.zeros((rows, obs_dim))
+        self.act = np.zeros((rows, act_dim))
+        self.rew = np.zeros(rows)
+        self.next_obs = np.zeros((rows, obs_dim))
+        self.done = np.zeros(rows)
         self.size = 0
         self._pos = 0
 
@@ -40,6 +49,8 @@ class ReplayBuffer:
 
     def add(self, obs, act, rew, next_obs, done):
         i = self._pos
+        if i == len(self.rew):
+            self._grow()
         self.obs[i] = obs
         self.act[i] = act
         self.rew[i] = rew
@@ -48,14 +59,20 @@ class ReplayBuffer:
         self._pos = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
+    def _grow(self):
+        rows = min(self.capacity, 2 * len(self.rew))
+        for key in BUFFER_FIELDS:
+            old = getattr(self, key)
+            new = np.zeros((rows,) + old.shape[1:])
+            new[:len(old)] = old
+            setattr(self, key, new)
+
     def store(self, tr):
         """Add an env `Transition`."""
         self.add(tr.obs, tr.raw_action, tr.reward, tr.next_obs, tr.done)
 
     def get(self, idx: np.ndarray) -> dict:
-        return {"obs": self.obs[idx], "act": self.act[idx],
-                "rew": self.rew[idx], "next_obs": self.next_obs[idx],
-                "done": self.done[idx]}
+        return {key: getattr(self, key)[idx] for key in BUFFER_FIELDS}
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> dict:
         if self.size == 0:
@@ -67,13 +84,19 @@ class ReplayBuffer:
     def split_indices(self, support_fraction: float,
                       rng: np.random.Generator):
         """Disjoint, non-empty support/query partition of the whole buffer."""
-        if self.size < 2:
-            raise ValueError(f"cannot split a buffer of {self.size} rows into "
-                             f"support and query sets; need at least 2")
+        require_split(self.size)
         perm = rng.permutation(self.size)
         cut = max(1, int(round(support_fraction * self.size)))
         cut = min(cut, self.size - 1)
         return perm[:cut], perm[cut:]
+
+
+def require_split(rows: int):
+    """Refuse a buffer of `rows` rows, too few for a support and a query
+    set that are both non-empty."""
+    if rows < 2:
+        raise ValueError(f"cannot split a buffer of {rows} rows into "
+                         f"support and query sets; need at least 2")
 
 
 def squashed_gaussian(out: np.ndarray, xi: np.ndarray):
@@ -122,7 +145,7 @@ def gaussian_policy_backward(actor: Mlp, fw: dict, grad_action: np.ndarray,
     d_log_std = -c + d_du * fw["sigma"] * fw["xi"]
     d_raw_ls = d_log_std * squash_log_std_grad(fw["raw_ls"])
     grad_out = np.concatenate([d_mu, d_raw_ls], axis=1)
-    grads, _ = actor.backward(fw["cache"], grad_out)
+    grads, _ = actor.backward(fw["cache"], grad_out, need_dx=False)
     return grads
 
 
@@ -188,7 +211,8 @@ class SacAgent:
             pred, cache = q.forward(qin)
             err = pred[:, 0] - y
             loss = float(np.mean(err ** 2))
-            grads, _ = q.backward(cache, (2.0 / n) * err[:, None])
+            grads, _ = q.backward(cache, (2.0 / n) * err[:, None],
+                                  need_dx=False)
             out.append((grads, loss))
         return out[0], out[1]
 
@@ -208,8 +232,10 @@ class SacAgent:
         loss = float(np.mean(cfg.entropy_weight * fw["logp"] - q_min))
         # dQ/da through whichever critic is the per-sample minimum
         use1 = (q1v <= q2v)[:, None]
-        _, dx1 = self.q1.backward(c1, np.where(use1, -1.0 / n, 0.0))
-        _, dx2 = self.q2.backward(c2, np.where(use1, 0.0, -1.0 / n))
+        # the whole input gradient, then the action columns: a product over
+        # those columns alone can round differently in BLAS
+        dx1 = self.q1.input_grad(c1, np.where(use1, -1.0 / n, 0.0))
+        dx2 = self.q2.input_grad(c2, np.where(use1, 0.0, -1.0 / n))
         grad_action = (dx1 + dx2)[:, self.obs_dim:]
         grad_logp = np.full(n, cfg.entropy_weight / n)
         grads = gaussian_policy_backward(self.actor, fw, grad_action,

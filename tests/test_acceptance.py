@@ -239,6 +239,7 @@ POWER_REGIME = dict(q_max=(100.0, 100.0, 100.0), q_min=(0.0, 0.0, 60.0),
                     episodes_per_task=3)
 
 
+@pytest.mark.slow
 def test_meta_adaptation_beats_sac_beats_greedy_on_mean_power():
     cfg = SystemConfig(**POWER_REGIME)
     probe = VlcUavEnv(cfg, sample_task(cfg, np.random.default_rng(0)))
@@ -371,6 +372,7 @@ EE_REGIME = dict(n_users=1, i_high=1.0, r_min=0.01, noise_var=1e-22,
                  **FEATHER)
 
 
+@pytest.mark.slow
 def test_energy_efficiency_ordering_meta_sac_random():
     cfg = SystemConfig(**EE_REGIME)
     probe = VlcUavEnv(cfg, sample_task(cfg, np.random.default_rng(0)))

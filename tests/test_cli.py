@@ -4,6 +4,7 @@ import csv
 
 import pytest
 
+import uavlc.cli
 from uavlc.cli import main
 
 
@@ -82,6 +83,45 @@ def test_agent_scheme_without_checkpoint_is_a_usage_error(cfg_path, capsys,
         main(command + ["--config", cfg_path])
     assert exit_info.value.code == 2
     assert "--checkpoint" in capsys.readouterr().err
+
+
+def test_refused_config_file_is_a_one_line_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("n_leds: 4\nbogus_key: 1\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check", "--config", str(bad)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == (f"uavlc check: error: config {bad}: "
+                                    f"unknown keys ['bogus_key']")
+
+
+def test_refused_sweep_spec_is_a_one_line_usage_error(cfg_path, tmp_path,
+                                                      capsys):
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--config", cfg_path, "--var", "K", "--values",
+              "2.5", "--seeds", "1", "--scheme", "random", "--out",
+              str(out)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == ("uavlc sweep: error: K values must be "
+                                    "whole numbers, got 2.5")
+    assert not out.exists()
+
+
+def test_a_fault_inside_a_run_keeps_its_traceback(cfg_path, tmp_path,
+                                                  monkeypatch):
+    def fail(*args, **kwargs):
+        raise ValueError("fault inside the run")
+
+    monkeypatch.setattr(uavlc.cli, "run_experiment", fail)
+    with pytest.raises(ValueError, match="fault inside the run"):
+        main(["sweep", "--config", cfg_path, "--var", "K", "--values", "1",
+              "--seeds", "1", "--scheme", "random",
+              "--out", str(tmp_path / "sweep.csv")])
 
 
 def test_sweep_writes_csv(cfg_path, tmp_path):

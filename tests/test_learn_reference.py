@@ -110,7 +110,7 @@ def reference_meta_train(self, task_sampler, iterations: int,
                 replace=len(query_idx) < cfg.batch_size)
             adapted_agents.append(adapted)
             query_batches.append(buf.get(q_idx))
-        losses = self.outer_update(adapted_agents, query_batches)
+        losses = self.outer_update(zip(adapted_agents, query_batches))
         losses["iteration"] = it
         history.append(losses)
         self.iteration += 1

@@ -1,5 +1,7 @@
 """Meta-learning layer: inner/outer loop invariants and equivalences."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -54,7 +56,7 @@ def test_outer_update_degenerates_to_plain_sac_step():
     buf = filled_buffer(probe, 40, seed=1)
     batch = buf.get(np.arange(cfg.batch_size))
     adapted = meta.inner_adapt(buf, np.arange(len(buf)), steps=0)
-    meta.outer_update([adapted], [batch])
+    meta.outer_update([(adapted, batch)])
     plain.update(batch)
     for name in ("actor", "q1", "q2", "tq1", "tq2"):
         assert np.array_equal(getattr(meta.agent, name).get_flat(),
@@ -64,7 +66,7 @@ def test_outer_update_degenerates_to_plain_sac_step():
 def test_outer_update_requires_tasks():
     _, _, meta = meta_setup()
     with pytest.raises(ValueError):
-        meta.outer_update([], [])
+        meta.outer_update([])
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -76,7 +78,7 @@ def test_outer_update_refuses_a_non_finite_query_loss():
     adapted = meta.inner_adapt(buf, np.arange(len(buf)), steps=0)
     before = meta.agent.q1.get_flat().copy()
     with pytest.raises(ValueError, match="network q1"):
-        meta.outer_update([adapted], [batch])
+        meta.outer_update([(adapted, batch)])
     assert np.array_equal(meta.agent.q1.get_flat(), before)
 
 
@@ -116,6 +118,42 @@ def test_meta_train_on_one_row_per_task_names_the_buffer_size():
     rng = np.random.default_rng(6)
     with pytest.raises(ValueError, match="buffer of 1 rows"):
         meta.meta_train(lambda: sample_task(cfg, rng), iterations=1)
+
+
+def test_meta_train_refuses_unsplittable_buffers_before_any_step(
+        monkeypatch):
+    cfg, probe, meta = meta_setup(n_slots=1)
+    steps = []
+    real_step = VlcUavEnv.step
+
+    def step(env, raw):
+        steps.append(raw)
+        return real_step(env, raw)
+
+    monkeypatch.setattr(VlcUavEnv, "step", step)
+    rng = np.random.default_rng(6)
+    with pytest.raises(ValueError, match="buffer of 1 rows"):
+        meta.meta_train(lambda: sample_task(cfg, rng), iterations=1)
+    assert steps == [] and meta.iteration == 0
+
+
+def test_meta_train_holds_one_adapted_agent_at_a_time(monkeypatch):
+    cfg, probe, meta = meta_setup(warmup_steps=5)
+    refs = []
+    real_inner_adapt = MetaSac.inner_adapt
+
+    def inner_adapt(self, *args):
+        # every agent adapted so far is gone before the next one is built
+        assert [r for r in refs if r() is not None] == []
+        adapted = real_inner_adapt(self, *args)
+        refs.append(weakref.ref(adapted))
+        return adapted
+
+    monkeypatch.setattr(MetaSac, "inner_adapt", inner_adapt)
+    rng = np.random.default_rng(6)
+    meta.meta_train(lambda: sample_task(cfg, rng), iterations=2)
+    assert len(refs) == 2 * cfg.meta_task_count
+    assert [r for r in refs if r() is not None] == []
 
 
 def test_meta_checkpoint_round_trip(tmp_path):

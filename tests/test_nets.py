@@ -55,6 +55,66 @@ def test_mlp_input_gradient_matches_finite_differences():
     assert err < 1e-5
 
 
+def reference_forward(net, x):
+    """The forward pass with a fresh array per operation, kept as the
+    reference for the in-place one."""
+    acts = [x]
+    n_layers = len(net.weights)
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = acts[-1] @ w + b
+        acts.append(np.tanh(z) if i < n_layers - 1 else z)
+    return acts[-1], acts
+
+
+def reference_backward(net, cache, grad_out):
+    """The backward pass with a fresh array per operation (reference)."""
+    grad = np.empty_like(net.flat)
+    grads_w, grads_b = net._layer_views(grad)
+    delta = np.atleast_2d(grad_out)
+    for i in reversed(range(len(net.weights))):
+        grads_w[i][...] = cache[i].T @ delta
+        grads_b[i][...] = delta.sum(axis=0)
+        delta = delta @ net.weights[i].T
+        if i > 0:
+            delta = delta * (1.0 - cache[i] ** 2)
+    return grad, delta
+
+
+@pytest.mark.parametrize("sizes,batch", [
+    ([4, 6, 3], 1), ([9, 8, 8, 1], 16), ([29, 64, 64, 1], 64),
+    ([120, 64, 64, 1], 1), ([120, 64, 64, 1], 64), ([57, 64, 64, 126], 64)])
+def test_mlp_passes_match_reference_and_input_grad_is_dx_bitwise(sizes,
+                                                                 batch):
+    rng = np.random.default_rng(5)
+    net = Mlp(sizes, rng)
+    x = rng.standard_normal((batch, sizes[0]))
+    out, cache = net.forward(x)
+    ref_out, ref_cache = reference_forward(net, x)
+    assert all(np.array_equal(a, b) for a, b in zip(cache, ref_cache))
+    grad_out = rng.standard_normal(out.shape)
+    grad, dx = net.backward(cache, grad_out)
+    ref_grad, ref_dx = reference_backward(net, ref_cache, grad_out)
+    assert np.array_equal(grad, ref_grad) and np.array_equal(dx, ref_dx)
+    assert np.array_equal(net.input_grad(cache, grad_out), dx)
+    grad_only, no_dx = net.backward(cache, grad_out, need_dx=False)
+    assert np.array_equal(grad_only, grad) and no_dx is None
+
+
+def test_mlp_input_grad_matches_finite_differences():
+    rng = np.random.default_rng(6)
+    net = Mlp([5, 7, 6, 1], rng)
+    x0 = rng.standard_normal(5)
+
+    def loss_at(xf):
+        return float(np.sum(net(xf[None, :]) ** 2))
+
+    out, cache = net.forward(x0[None, :])
+    numeric = numeric_grad(loss_at, x0)
+    err = np.max(np.abs(net.input_grad(cache, 2.0 * out)[0] - numeric)
+                 / (np.abs(numeric) + 1e-8))
+    assert err < 1e-5
+
+
 def test_mlp_flat_round_trip_and_clone_independence():
     rng = np.random.default_rng(2)
     net = Mlp([2, 4, 1], rng)
@@ -85,6 +145,26 @@ def test_adam_matches_reference_implementation():
         vh = v / (1 - 0.999 ** t)
         ref = ref - 0.01 * mh / (np.sqrt(vh) + 1e-8)
     assert np.allclose(cur, ref, rtol=1e-12, atol=1e-14)
+
+
+def test_adam_step_is_the_one_expression_bitwise():
+    # the update as one expression with temporaries, kept as the reference
+    rng = np.random.default_rng(7)
+    p = rng.standard_normal(257)
+    adam = Adam(p, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8)
+    cur, ref = p.copy(), p.copy()
+    m, v = np.zeros_like(p), np.zeros_like(p)
+    for t in range(1, 8):
+        g = rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3)
+        adam.step(cur, g)
+        m *= 0.9
+        m += (1 - 0.9) * g
+        v *= 0.999
+        v += (1 - 0.999) * g * g
+        ref -= 3e-4 * (m / (1.0 - 0.9 ** t)) / (np.sqrt(v / (1.0 - 0.999 ** t))
+                                               + 1e-8)
+        assert np.array_equal(cur, ref)
+        assert np.array_equal(adam.m, m) and np.array_equal(adam.v, v)
 
 
 def test_adam_rejects_mismatched_grads():

@@ -8,7 +8,7 @@ import pytest
 from uavlc import ReplayBuffer, SacAgent, rollout, train_sac
 from uavlc.baselines import RandomPolicy
 from uavlc.nets import Mlp
-from uavlc.sac import gaussian_policy_forward
+from uavlc.sac import INITIAL_ROWS, gaussian_policy_forward
 
 from conftest import small_config
 
@@ -130,6 +130,109 @@ def test_replay_buffer_split_is_disjoint_partition():
     assert len(set(support) & set(query)) == 0
     assert sorted(np.concatenate([support, query])) == list(range(30))
     assert len(support) == 24
+
+
+class FullCapacityBuffer:
+    """The replay buffer as it was before its storage grew: all `capacity`
+    rows allocated up front (kept verbatim as the reference)."""
+
+    def __init__(self, capacity: int, obs_dim: int, act_dim: int):
+        self.capacity = capacity
+        self.obs = np.zeros((capacity, obs_dim))
+        self.act = np.zeros((capacity, act_dim))
+        self.rew = np.zeros(capacity)
+        self.next_obs = np.zeros((capacity, obs_dim))
+        self.done = np.zeros(capacity)
+        self.size = 0
+        self._pos = 0
+
+    def add(self, obs, act, rew, next_obs, done):
+        i = self._pos
+        self.obs[i] = obs
+        self.act[i] = act
+        self.rew[i] = rew
+        self.next_obs[i] = next_obs
+        self.done[i] = float(done)
+        self._pos = (i + 1) % self.capacity
+        self.size = min(self.size + 1, self.capacity)
+
+    def get(self, idx: np.ndarray) -> dict:
+        return {"obs": self.obs[idx], "act": self.act[idx],
+                "rew": self.rew[idx], "next_obs": self.next_obs[idx],
+                "done": self.done[idx]}
+
+    def sample(self, batch_size: int, rng: np.random.Generator) -> dict:
+        if self.size == 0:
+            raise ValueError("cannot sample from an empty buffer")
+        replace = batch_size > self.size
+        idx = rng.choice(self.size, size=batch_size, replace=replace)
+        return self.get(idx)
+
+    def split_indices(self, support_fraction: float,
+                      rng: np.random.Generator):
+        if self.size < 2:
+            raise ValueError(f"cannot split a buffer of {self.size} rows into "
+                             f"support and query sets; need at least 2")
+        perm = rng.permutation(self.size)
+        cut = max(1, int(round(support_fraction * self.size)))
+        cut = min(cut, self.size - 1)
+        return perm[:cut], perm[cut:]
+
+
+def assert_same_batch(a: dict, b: dict):
+    assert a.keys() == b.keys()
+    for key in a:
+        assert np.array_equal(a[key], b[key]), key
+
+
+def test_growing_buffer_equals_full_capacity_buffer_bitwise():
+    # storage grows twice (INITIAL_ROWS, twice that, capacity), then the
+    # ring wraps over the oldest rows
+    capacity = 2 * INITIAL_ROWS + 88
+    checked = {INITIAL_ROWS - 1, INITIAL_ROWS, INITIAL_ROWS + 1,
+               capacity - 1, capacity, capacity + 1}
+    buf = ReplayBuffer(capacity, obs_dim=3, act_dim=2)
+    ref = FullCapacityBuffer(capacity, obs_dim=3, act_dim=2)
+    data_rng = np.random.default_rng(5)
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    for n in range(1, 2 * capacity + 300):
+        row = (data_rng.standard_normal(3), data_rng.standard_normal(2),
+               float(data_rng.standard_normal()),
+               data_rng.standard_normal(3), n % 7 == 0)
+        buf.add(*row)
+        ref.add(*row)
+        assert (buf.size, buf._pos) == (ref.size, ref._pos)
+        if n % 97 and n not in checked:
+            continue
+        for key in ("obs", "act", "rew", "next_obs", "done"):
+            assert np.array_equal(getattr(buf, key)[:buf.size],
+                                  getattr(ref, key)[:ref.size]), key
+        idx = np.arange(buf.size)[::-1]
+        assert_same_batch(buf.get(idx), ref.get(idx))
+        assert_same_batch(buf.sample(32, rng), ref.sample(32, ref_rng))
+        assert_same_batch(buf.sample(2 * n, rng),
+                          ref.sample(2 * n, ref_rng))
+        if n >= 2:
+            for part, ref_part in zip(buf.split_indices(0.8, rng),
+                                      ref.split_indices(0.8, ref_rng)):
+                assert np.array_equal(part, ref_part)
+    assert buf._pos != 0 and buf.size == capacity     # the ring wrapped
+
+
+def test_buffer_storage_grows_by_doubling_up_to_capacity():
+    for capacity in (1, 3, INITIAL_ROWS, INITIAL_ROWS + 1, 1000):
+        buf = ReplayBuffer(capacity, obs_dim=2, act_dim=1)
+        rows = {len(buf.rew)}
+        for _ in range(2 * capacity + 3):
+            buf.add([0.0, 0.0], [0.0], 0.0, [0.0, 0.0], False)
+            stored = len(buf.rew)
+            rows.add(stored)
+            assert stored <= max(INITIAL_ROWS, 2 * buf.size)
+            assert stored <= capacity
+            for key in ("obs", "act", "next_obs", "done"):
+                assert len(getattr(buf, key)) == stored
+        assert stored == capacity
+        assert min(rows) == min(capacity, INITIAL_ROWS)
 
 
 def test_replay_buffer_split_refuses_fewer_than_two_rows():
