@@ -68,6 +68,7 @@ import math
 import numpy as np
 
 from .dimming import LedSelection, select_leds
+from .env import start_box
 from .metrics import per_user_rate, order_users, total_power
 
 # relative rounding budget of the floor screen and of its order certificate
@@ -290,11 +291,9 @@ class GreedyPolicy:
             env.task.user_positions[:, :2] - centroid[:2], axis=1)))
         z_fov = 1.05 * r_max / max(math.tan(env.optics.fov_semiangle), 1e-9)
         self.cruise_altitude = min(max(cfg.q_min[2], z_fov), cfg.q_max[2])
-        self.target = np.array([centroid[0], centroid[1],
-                                self.cruise_altitude])
-        q_min, q_max = np.asarray(cfg.q_min), np.asarray(cfg.q_max)
-        margin = 0.02 * (q_max - q_min)
-        self.target = np.clip(self.target, q_min + margin, q_max - margin)
+        self.target = np.clip(
+            np.array([centroid[0], centroid[1], self.cruise_altitude]),
+            *start_box(cfg))
 
     def _velocity_command(self) -> np.ndarray:
         env = self.env

@@ -7,7 +7,6 @@ CSV files are the output contract; plotting is out of scope.
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 
 import numpy as np
@@ -16,7 +15,8 @@ from .baselines import GreedyPolicy, RandomPolicy
 from .config import load_config
 from .env import VlcUavEnv, rollout, sample_task
 from .harness import (SCHEMES, SWEEP_VARS, ExperimentSpec, derive_seed,
-                      evaluate, make_agent_policy, run_experiment)
+                      evaluate, make_agent_policy, meta_train_for,
+                      run_experiment)
 from .meta import MetaSac
 from .sac import SacAgent, train_sac
 
@@ -83,10 +83,9 @@ def cmd_train(args):
 
 def cmd_meta_train(args):
     cfg = _load_cfg(args)
-    probe = VlcUavEnv(cfg, _task_for(cfg, args.seed))
-    meta = MetaSac(cfg, probe.obs_dim, probe.action_dim, seed=args.seed)
-    rng = np.random.default_rng(derive_seed("meta-tasks", args.seed))
-    history = meta.meta_train(lambda: sample_task(cfg, rng), args.iterations)
+    meta, history = meta_train_for(cfg, args.seed,
+                                   derive_seed("meta-tasks", args.seed),
+                                   args.iterations)
     meta.save(args.out)
     print(f"meta-trained {args.iterations} iterations on "
           f"{cfg.meta_task_count} tasks; checkpoint -> {args.out}")
@@ -96,7 +95,10 @@ def cmd_meta_train(args):
 
 def cmd_adapt(args):
     cfg = _load_cfg(args)
-    meta = MetaSac.load(args.checkpoint, cfg)
+    try:
+        meta = MetaSac.load(args.checkpoint, cfg)
+    except (OSError, ValueError) as err:
+        raise UsageError(err) from err
     task = _task_for(cfg, args.seed)
     agent = meta.meta_adapt(task, args.episodes, seed=args.seed)
     agent.save(args.out)
@@ -178,7 +180,6 @@ def cmd_check(args):
 
 
 def main(argv=None):
-    logging.basicConfig(level=logging.INFO, format="%(message)s")
     parser = argparse.ArgumentParser(
         prog="uavlc",
         description="UAV LED-array VLC simulator and allocator")

@@ -3,7 +3,12 @@
 All defaults follow the simulation parameter set of the source system
 (10-LED array, 60 deg optics, rotary-wing drone). The maximum-velocity
 constant appears twice in that set (20 m/s and 10 m/s); we keep the later
-value, 10 m/s, and log the conflict once at load time.
+value, 10 m/s.
+
+Each field takes values of its default's kind: a float field also takes an
+int, the penalty (default None) a number or None, and a tuple field a list
+or tuple of its default's element kind. A bool is no number. Values are
+kept as given, so an int written for a float field stays in the dump.
 """
 
 from __future__ import annotations
@@ -12,21 +17,40 @@ import dataclasses
 import hashlib
 import logging
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import yaml
 
 from .channel import OpticsParams
 from .dimming import DimmingConfig, active_led_count, dc_bias_for
 from .metrics import PowerBreakdown, QosConfig
-from .uav import RotorcraftParams, min_propulsion_power
+from .uav import FlightConfig, RotorcraftParams, min_propulsion_power
 
 log = logging.getLogger(__name__)
 
-_VMAX_CONFLICT_NOTE = (
-    "reference parameter set lists V_max twice (20 m/s and 10 m/s); "
-    "using 10 m/s"
-)
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _kind(default):
+    """What a field whose default is `default` takes: (a description, a
+    test of a value)."""
+    if isinstance(default, tuple):
+        what, test = _kind(default[0])
+        return (f"a list, each item {what}",
+                lambda v: isinstance(v, (list, tuple)) and all(map(test, v)))
+    if isinstance(default, bool):
+        return "true or false", lambda v: isinstance(v, bool)
+    if isinstance(default, int):
+        return "an integer", lambda v: (_is_number(v)
+                                        and isinstance(v, numbers.Integral))
+    if isinstance(default, float):
+        return "a number", _is_number
+    if default is None:
+        return "a number or null", lambda v: v is None or _is_number(v)
+    return "a string", lambda v: isinstance(v, str)
 
 
 @dataclass
@@ -107,6 +131,12 @@ class SystemConfig:
     adapt_episodes: int = 20
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            what, test = _kind(f.default)
+            value = getattr(self, f.name)
+            if not test(value):
+                raise ValueError(f"config: {f.name} must be {what}, "
+                                 f"got {value!r}")
         self.q_min = tuple(float(v) for v in self.q_min)
         self.q_max = tuple(float(v) for v in self.q_max)
         self.hidden_sizes = tuple(int(v) for v in self.hidden_sizes)
@@ -124,22 +154,15 @@ class SystemConfig:
             for v in value if f.name in ("q_min", "q_max") else (value,):
                 req(not isinstance(v, float) or math.isfinite(v),
                     f"{f.name} must be finite, got {v}")
-        # each physics parameter set checks its own rules
+        # each physics parameter set checks its own rules (any start will do)
         try:
             for build in (self.optics, self.dimming, self.rotor, self.qos):
                 build()
+            self.flight(self.q_min)
         except ValueError as e:
             raise ValueError(f"config: {e}") from e
         req(self.noise_var > 0, "noise variance must be positive")
         req(self.csi_radius >= 0, "CSI radius must be non-negative")
-        req(self.slot_duration > 0, "slot duration must be positive")
-        req(self.n_slots >= 1, "need at least one slot")
-        req(self.v_max > 0, "v_max must be positive")
-        req(self.a_max > 0, "a_max must be positive")
-        req(len(self.q_min) == 3 and len(self.q_max) == 3,
-            "q_min/q_max must be 3-vectors")
-        req(all(a < b for a, b in zip(self.q_min, self.q_max)),
-            "q_min must be component-wise below q_max")
         req(self.n_users >= 1, "need at least one user")
         req(self.reward_mode in ("penalty", "paper"),
             "reward_mode must be 'penalty' or 'paper'")
@@ -184,6 +207,14 @@ class SystemConfig:
     def qos(self) -> QosConfig:
         """The rate floor and power budget of constraints C1 and C2."""
         return QosConfig(r_min=self.r_min, p_max=self.p_max)
+
+    def flight(self, q_init) -> FlightConfig:
+        """The flight envelope (C5-C7, RTS) of a UAV starting at `q_init`."""
+        return FlightConfig(
+            slot_duration=self.slot_duration, n_slots=self.n_slots,
+            v_max=self.v_max, a_max=self.a_max, q_min=self.q_min,
+            q_max=self.q_max, q_init=q_init,
+            return_tolerance=self.return_tolerance)
 
     def power_floor(self) -> float:
         """Least P_Tot any slot can draw [W].
@@ -242,7 +273,6 @@ def load_config(path: str | None = None) -> SystemConfig:
         unknown = set(data) - _FIELD_NAMES
         if unknown:
             raise ValueError(f"config {path}: unknown keys {sorted(unknown)}")
-    log.info(_VMAX_CONFLICT_NOTE)
     cfg = SystemConfig(**data)
     floor = cfg.power_floor()
     if floor > cfg.p_max * (1.0 + 1e-12):

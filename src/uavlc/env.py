@@ -25,9 +25,9 @@ from .channel import (ChannelState, channel_matrix, los_channel_gain,
 from .config import SystemConfig
 from .dimming import (LedSelection, active_led_count, beamforming_bound,
                       dc_bias_for, project_beamformer, select_leds)
-from .metrics import check_p1_feasibility
-from .uav import (FlightConfig, UavState, clamp_velocity, hover_power,
-                  propulsion_power, step_kinematics)
+from .metrics import CONSTRAINTS, check_p1_feasibility
+from .uav import (UavState, clamp_velocity, hover_power, propulsion_power,
+                  step_kinematics)
 
 
 @dataclass
@@ -85,20 +85,22 @@ class EpisodeTrace:
             writer.writerows(self.rows)
 
 
+def start_box(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper corners of the flight box less a 2% margin per side,
+    which keeps a start or a hover point clear of the strict box bounds."""
+    q_min, q_max = np.asarray(cfg.q_min), np.asarray(cfg.q_max)
+    margin = 0.02 * (q_max - q_min)
+    return q_min + margin, q_max - margin
+
+
 def sample_task(cfg: SystemConfig, rng: np.random.Generator) -> Task:
-    """Users uniform over the ground footprint; UAV start inside the box."""
-    if cfg.n_users < 1:
-        raise ValueError("need at least one user")
+    """Users uniform over the ground footprint; UAV start in `start_box`."""
     seed = int(rng.integers(0, 2**63 - 1))
     trng = np.random.default_rng(seed)
-    q_min = np.asarray(cfg.q_min)
-    q_max = np.asarray(cfg.q_max)
     users = np.zeros((cfg.n_users, 3))
-    users[:, 0] = trng.uniform(q_min[0], q_max[0], cfg.n_users)
-    users[:, 1] = trng.uniform(q_min[1], q_max[1], cfg.n_users)
-    # small interior margin keeps the start clear of the strict box bounds
-    margin = 0.02 * (q_max - q_min)
-    q_init = trng.uniform(q_min + margin, q_max - margin)
+    users[:, 0] = trng.uniform(cfg.q_min[0], cfg.q_max[0], cfg.n_users)
+    users[:, 1] = trng.uniform(cfg.q_min[1], cfg.q_max[1], cfg.n_users)
+    q_init = trng.uniform(*start_box(cfg))
     return Task(user_positions=users, q_init=q_init, seed=seed)
 
 
@@ -110,11 +112,7 @@ class VlcUavEnv:
         self.task = task
         self.optics = cfg.optics()
         self.dim_cfg = cfg.dimming()
-        self.flight_cfg = FlightConfig(
-            slot_duration=cfg.slot_duration, n_slots=cfg.n_slots,
-            v_max=cfg.v_max, a_max=cfg.a_max,
-            q_min=np.asarray(cfg.q_min), q_max=np.asarray(cfg.q_max),
-            q_init=task.q_init, return_tolerance=cfg.return_tolerance)
+        self.flight_cfg = cfg.flight(task.q_init)
         self.rotor = cfg.rotor()
         self.qos = cfg.qos()
         self.hover = hover_power(self.rotor)
@@ -128,8 +126,8 @@ class VlcUavEnv:
         z_ref = 0.5 * (cfg.q_min[2] + cfg.q_max[2])
         self._h_ref = los_channel_gain(
             np.array([0.0, 0.0, z_ref]), np.zeros(3), self.optics)
-        self._q_min = np.asarray(cfg.q_min)
-        self._q_span = np.asarray(cfg.q_max) - self._q_min
+        self._q_min = self.flight_cfg.q_min
+        self._q_span = self.flight_cfg.q_max - self._q_min
         self._uav: UavState | None = None
         self._channels: ChannelState | None = None
         self._obs: np.ndarray | None = None
@@ -247,7 +245,7 @@ class VlcUavEnv:
         }
         for k in range(self.cfg.n_users):
             row[f"rate_{k}"] = rates.rates[k]
-        for c in ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "RTS"):
+        for c in CONSTRAINTS:
             row[c] = int(report[c])
         row["feasible"] = int(report["feasible"])
         row["x"], row["y"], row["z"] = self._uav.position

@@ -219,16 +219,15 @@ def run_scheme(scheme: str, cfg: SystemConfig, task: Task, seed: int,
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def meta_train_for(cfg: SystemConfig, spec: ExperimentSpec,
-                   base_hash: str) -> MetaSac:
-    """Meta-train once per sweep point on tasks disjoint from eval tasks."""
+def meta_train_for(cfg: SystemConfig, seed: int, task_seed: int,
+                   iterations: int) -> tuple[MetaSac, list[dict]]:
+    """A fresh `MetaSac` seeded `seed`, meta-trained for `iterations` on
+    tasks drawn by a generator seeded `task_seed`; (meta, history)."""
     probe = VlcUavEnv(cfg, sample_task(cfg, np.random.default_rng(0)))
-    meta = MetaSac(cfg, probe.obs_dim, probe.action_dim,
-                   seed=derive_seed(base_hash, "meta-train"))
-    task_rng = np.random.default_rng(derive_seed(base_hash, "meta-tasks"))
-    meta.meta_train(lambda: sample_task(cfg, task_rng),
-                    spec.meta_iterations)
-    return meta
+    meta = MetaSac(cfg, probe.obs_dim, probe.action_dim, seed=seed)
+    task_rng = np.random.default_rng(task_seed)
+    history = meta.meta_train(lambda: sample_task(cfg, task_rng), iterations)
+    return meta, history
 
 
 _FIELDS = ["scheme", "sweep_var", "sweep_value", "seed", "mean_p_tot",
@@ -299,11 +298,15 @@ def run_experiment(spec: ExperimentSpec, cfg: SystemConfig,
         out.flush()     # forked workers must not inherit buffered bytes
         meta_at = sorted({i for i, _, scheme in todo
                           if scheme == "meta-sac"})
-        metas = dict(zip(meta_at, parallel_map(
-            lambda unit: meta_train_for(*unit),
-            [(cfgs[i], spec, derive_seed(base_hash, spec.sweep_var,
-                                         spec.sweep_values[i]))
-             for i in meta_at], workers)))
+
+        def train_meta(i):
+            point = derive_seed(base_hash, spec.sweep_var,
+                                spec.sweep_values[i])
+            return meta_train_for(cfgs[i], derive_seed(point, "meta-train"),
+                                  derive_seed(point, "meta-tasks"),
+                                  spec.meta_iterations)[0]
+
+        metas = dict(zip(meta_at, parallel_map(train_meta, meta_at, workers)))
         results = parallel_map(
             lambda unit: run_scheme(*unit),
             [(scheme, cfgs[i], paired_task(cfgs[i], spec, base_hash, seed),

@@ -33,9 +33,8 @@ class MetaSac:
         """Adapt a copy of the global parameters on support data only."""
         adapted = self.agent.clone(lr=self.cfg.lr_inner)
         for _ in range(steps):
-            idx = self.rng.choice(support_idx, size=self.cfg.batch_size,
-                                  replace=len(support_idx) < self.cfg.batch_size)
-            adapted.update(buffer.get(idx))
+            adapted.update(buffer.sample(self.cfg.batch_size, self.rng,
+                                         support_idx))
         return adapted
 
     # -- outer loop --
@@ -115,10 +114,7 @@ class MetaSac:
             support_idx, query_idx = buf.split_indices(
                 cfg.support_fraction, self.rng)
             adapted = self.inner_adapt(buf, support_idx, cfg.inner_steps)
-            q_idx = self.rng.choice(
-                query_idx, size=cfg.batch_size,
-                replace=len(query_idx) < cfg.batch_size)
-            yield adapted, buf.get(q_idx)
+            yield adapted, buf.sample(cfg.batch_size, self.rng, query_idx)
             del adapted
 
     def meta_adapt(self, task: Task, episodes: int,
@@ -139,14 +135,21 @@ class MetaSac:
 
     @classmethod
     def load(cls, path: str, cfg: SystemConfig) -> "MetaSac":
+        """The meta-learner `save` wrote; refuses a checkpoint without its
+        state, such as a plain SAC agent's."""
         arrays, header = read_checkpoint(path)
+        extra = header.get("extra", {})
+        missing = [k for k in ("task_seeds", "iteration", "rng")
+                   if k not in extra]
+        if missing:
+            raise ValueError(f"{path} holds no meta-learner state (no "
+                             f"{', '.join(missing)}); it is not a "
+                             f"meta-training checkpoint")
         meta = cls.__new__(cls)
         meta.cfg = cfg
         meta.agent = SacAgent.restore(arrays, header, cfg)
-        extra = header.get("extra", {})
-        meta.rng = np.random.default_rng(0)
-        if "rng" in extra:
-            meta.rng.bit_generator.state = extra["rng"]
-        meta.task_seeds = list(extra.get("task_seeds", []))
-        meta.iteration = int(extra.get("iteration", 0))
+        meta.rng = np.random.default_rng()
+        meta.rng.bit_generator.state = extra["rng"]
+        meta.task_seeds = list(extra["task_seeds"])
+        meta.iteration = int(extra["iteration"])
         return meta

@@ -32,6 +32,9 @@ from .dimming import (LedSelection, beamforming_bound, dimming_level_of,
                       DimmingConfig, is_binary)
 from .uav import UavState, check_flight, FlightConfig
 
+# the constraints of problem P1 that a slot report checks, in report order
+CONSTRAINTS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "RTS")
+
 
 @dataclass
 class PowerBreakdown:
@@ -174,9 +177,7 @@ def check_p1_feasibility(w: np.ndarray, selection: LedSelection, i_dc: float,
         "C9": is_binary(selection.a) and n_a >= 1,
         "RTS": "RTS" not in flight,
     }
-    report["feasible"] = all(report[k] for k in
-                             ("C1", "C2", "C3", "C4", "C5", "C6", "C7",
-                              "C8", "C9", "RTS"))
+    report["feasible"] = all(report[k] for k in CONSTRAINTS)
     report["rates"] = report_rates
     report["power"] = power
     return report

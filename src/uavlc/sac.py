@@ -74,12 +74,15 @@ class ReplayBuffer:
     def get(self, idx: np.ndarray) -> dict:
         return {key: getattr(self, key)[idx] for key in BUFFER_FIELDS}
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> dict:
-        if self.size == 0:
+    def sample(self, batch_size: int, rng: np.random.Generator,
+               rows: np.ndarray | None = None) -> dict:
+        """A batch of `rows` (default: every stored row), drawn without
+        replacement unless the pool is smaller than the batch."""
+        n = self.size if rows is None else len(rows)
+        if n == 0:
             raise ValueError("cannot sample from an empty buffer")
-        replace = batch_size > self.size
-        idx = rng.choice(self.size, size=batch_size, replace=replace)
-        return self.get(idx)
+        return self.get(rng.choice(self.size if rows is None else rows,
+                                   size=batch_size, replace=batch_size > n))
 
     def split_indices(self, support_fraction: float,
                       rng: np.random.Generator):

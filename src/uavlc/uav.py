@@ -32,11 +32,17 @@ class FlightConfig:
     return_tolerance: float = 0.5 # [m]
 
     def __post_init__(self):
-        self.q_min = np.asarray(self.q_min, dtype=float)
-        self.q_max = np.asarray(self.q_max, dtype=float)
-        self.q_init = np.asarray(self.q_init, dtype=float)
-        if self.slot_duration <= 0 or self.v_max <= 0 or self.a_max <= 0:
-            raise ValueError("tau, v_max and a_max must be positive")
+        for name in ("q_min", "q_max", "q_init"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+            if getattr(self, name).shape != (3,):
+                raise ValueError(f"{name} must be a 3-vector")
+        if not (self.slot_duration > 0 and self.v_max > 0 and self.a_max > 0):
+            raise ValueError("slot_duration, v_max and a_max must be positive")
+        if self.n_slots < 1:
+            raise ValueError("need at least one slot")
+        if not self.return_tolerance >= 0:
+            raise ValueError(f"return_tolerance must be non-negative, "
+                             f"got {self.return_tolerance}")
         if not np.all(self.q_min < self.q_max):
             raise ValueError("q_min must be component-wise below q_max")
 

@@ -1,11 +1,18 @@
 """Command-line interface smoke tests."""
 
 import csv
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import uavlc
 import uavlc.cli
+from uavlc import MetaSac, VlcUavEnv, load_config, sample_task
 from uavlc.cli import main
+from uavlc.harness import derive_seed
 
 
 @pytest.fixture
@@ -95,6 +102,78 @@ def test_refused_config_file_is_a_one_line_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
     assert err.splitlines()[-1] == (f"uavlc check: error: config {bad}: "
                                     f"unknown keys ['bogus_key']")
+
+
+@pytest.mark.parametrize("line, name", [
+    ("n_leds: abc", "n_leds"), ("hidden_sizes: 8", "hidden_sizes"),
+    ("p_max: '20'", "p_max"), ("observe_pose: 3", "observe_pose"),
+    ("gamma: true", "gamma"), ("n_slots: 2.5", "n_slots"),
+    ("return_tolerance: -1", "return_tolerance")])
+def test_a_refused_config_value_is_a_one_line_usage_error(tmp_path, capsys,
+                                                          line, name):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(f"n_leds: 4\n{line}\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check", "--config", str(bad)])
+    assert exit_info.value.code == 2
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"uavlc check: error: config: {name} ")
+
+
+def test_adapt_refuses_a_plain_agent_checkpoint(cfg_path, tmp_path, capsys):
+    ckpt = tmp_path / "agent.npz"
+    main(["train", "--config", cfg_path, "--seed", "2", "--episodes", "1",
+          "--out", str(ckpt)])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["adapt", "--config", cfg_path, "--checkpoint", str(ckpt),
+              "--out", str(tmp_path / "adapted.npz")])
+    assert exit_info.value.code == 2
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"uavlc adapt: error: {ckpt} holds no "
+                          f"meta-learner state")
+    assert not (tmp_path / "adapted.npz").exists()
+
+
+def run_cli(*args):
+    """`uavlc` in a fresh interpreter, with logging as a user sees it."""
+    src = os.path.dirname(os.path.dirname(uavlc.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "uavlc.cli", *args],
+                          capture_output=True, text=True, env=env)
+
+
+def test_stderr_holds_only_the_power_floor_warning(cfg_path):
+    done = run_cli("check")
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [
+        "config: P_Tot lower bound 946.3 W exceeds p_max 20 W; C2 fails "
+        "in every slot"]
+    done = run_cli("check", "--config", cfg_path)
+    assert done.returncode == 0 and done.stderr == ""
+
+
+def test_meta_train_prints_and_saves_what_its_own_recipe_did(cfg_path,
+                                                             tmp_path,
+                                                             capsys):
+    # the steps `uavlc meta-train` ran itself before it called
+    # `harness.meta_train_for`, kept verbatim
+    cfg, seed = load_config(cfg_path), 3
+    probe = VlcUavEnv(cfg, sample_task(
+        cfg, np.random.default_rng(derive_seed("task", seed))))
+    meta = MetaSac(cfg, probe.obs_dim, probe.action_dim, seed=seed)
+    rng = np.random.default_rng(derive_seed("meta-tasks", seed))
+    history = meta.meta_train(lambda: sample_task(cfg, rng), 2)
+    ref = tmp_path / "ref.npz"
+    meta.save(str(ref))
+
+    out = tmp_path / "meta.npz"
+    main(["meta-train", "--config", cfg_path, "--seed", str(seed),
+          "--iterations", "2", "--out", str(out)])
+    assert capsys.readouterr().out == (
+        f"meta-trained 2 iterations on {cfg.meta_task_count} tasks; "
+        f"checkpoint -> {out}\nfinal query losses: {history[-1]}\n")
+    assert out.read_bytes() == ref.read_bytes()
 
 
 def test_refused_sweep_spec_is_a_one_line_usage_error(cfg_path, tmp_path,

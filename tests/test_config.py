@@ -103,7 +103,11 @@ def test_physics_rules_are_refused_as_config_errors():
                dict(pd_area_m2=0.0),
                dict(refractive_index=-1.0), dict(n_leds=0),
                dict(dimming_level=1.5), dict(i_low=0.01, i_high=0.01),
-               dict(r_min=0.0), dict(p_max=-1.0), dict(rotor_radius=0.0)):
+               dict(r_min=0.0), dict(p_max=-1.0), dict(rotor_radius=0.0),
+               dict(slot_duration=0.0), dict(v_max=-1.0), dict(n_slots=0),
+               dict(return_tolerance=-1.0), dict(q_min=(0.0, 0.0)),
+               dict(q_max=(9.0, 9.0, 9.0, 9.0)),
+               dict(q_min=(0.0, 0.0, 50.0), q_max=(9.0, 9.0, 9.0))):
         with pytest.raises(ValueError, match="^config: "):
             SystemConfig(**kw)
 
@@ -151,3 +155,52 @@ def test_dump_round_trips_through_yaml():
     cfg = SystemConfig(n_users=2, r_min=0.7)
     data = yaml.safe_load(cfg.dump())
     assert SystemConfig(**data) == cfg
+
+
+WRONG_KINDS = [("n_leds", "abc"), ("hidden_sizes", 8), ("p_max", "20"),
+               ("observe_pose", 3), ("gamma", True), ("n_slots", 2.5),
+               ("q_min", (0.0, 0.0, "10")), ("hidden_sizes", (8.0, 8)),
+               ("penalty", "-5"), ("reward_mode", 1)]
+
+
+@pytest.mark.parametrize("name, bad", WRONG_KINDS)
+def test_a_value_of_the_wrong_kind_is_a_config_error(name, bad):
+    with pytest.raises(ValueError,
+                       match=f"^config: {name} must be .*, got "
+                             f"{re.escape(repr(bad))}$"):
+        SystemConfig(**{name: bad})
+
+
+def test_values_of_the_right_kind_are_kept_as_given():
+    # the config hash seeds every sweep: an accepted value is not coerced
+    assert SystemConfig().config_hash() == "f00662793da49acc"
+    cfg = SystemConfig(p_max=2000)
+    assert type(cfg.p_max) is int and "p_max: 2000\n" in cfg.dump()
+    assert cfg.config_hash() == "a0a4a1a2d1296b27"
+    assert SystemConfig(p_max=2000.0).config_hash() == "58de56e907a6dd39"
+    cfg = SystemConfig(penalty=-5, q_min=[0, 0, 10], hidden_sizes=[8, 8])
+    assert (cfg.penalty, cfg.q_min, cfg.hidden_sizes) == (
+        -5, (0.0, 0.0, 10.0), (8, 8))
+
+
+def test_flight_set_holds_the_flight_fields():
+    cfg = SystemConfig(slot_duration=0.5, n_slots=7, return_tolerance=2.0)
+    flight = cfg.flight([1.0, 2.0, 30.0])
+    assert (flight.slot_duration, flight.n_slots, flight.v_max,
+            flight.a_max, flight.return_tolerance) == (0.5, 7, 10.0, 6.0,
+                                                       2.0)
+    for got, want in ((flight.q_min, cfg.q_min), (flight.q_max, cfg.q_max),
+                      (flight.q_init, (1.0, 2.0, 30.0))):
+        assert got.dtype == float and got.tolist() == list(want)
+
+
+def test_load_config_logs_only_the_power_floor_warning(tmp_path, caplog):
+    with caplog.at_level(logging.DEBUG):
+        load_config(None)
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
+    caplog.clear()
+    p = tmp_path / "budget.yaml"
+    p.write_text("p_max: 1000\n")
+    with caplog.at_level(logging.DEBUG):
+        load_config(str(p))
+    assert not caplog.records

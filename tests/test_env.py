@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from uavlc import Task, VlcUavEnv, sample_task
+from uavlc import GreedyPolicy, Task, VlcUavEnv, sample_task
+from uavlc.env import start_box
 
 from conftest import small_config
 
@@ -190,3 +191,20 @@ def test_task_refuses_non_finite_geometry(cfg):
     with pytest.raises(ValueError, match="q_init"):
         Task(user_positions=task.user_positions,
              q_init=[np.inf, 0.0, 20.0], seed=task.seed)
+
+
+def test_task_starts_and_greedy_targets_lie_in_the_one_start_box(cfg):
+    q_min, q_max = np.array(cfg.q_min), np.array(cfg.q_max)
+    lo, hi = start_box(cfg)
+    assert np.array_equal(lo, q_min + 0.02 * (q_max - q_min))
+    assert np.array_equal(hi, q_max - 0.02 * (q_max - q_min))
+    rng = np.random.default_rng(5)
+    on_edge = 0
+    for _ in range(40):
+        task = sample_task(cfg, rng)
+        target = GreedyPolicy(VlcUavEnv(cfg, task)).target
+        for point in (task.q_init, target):
+            assert np.all(lo <= point) and np.all(point <= hi)
+        on_edge += bool(np.any(target == lo) or np.any(target == hi))
+    # the greedy clips its hover point onto the box it shares with tasks
+    assert on_edge > 0

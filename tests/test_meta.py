@@ -181,6 +181,15 @@ def test_meta_checkpoint_resumes_both_generators(tmp_path):
     assert np.array_equal(loaded.agent.act(obs), meta.agent.act(obs))
 
 
+def test_meta_checkpoint_refuses_a_plain_agent_checkpoint(tmp_path):
+    cfg, probe, meta = meta_setup()
+    path = str(tmp_path / "agent.npz")
+    meta.agent.save(path)
+    with pytest.raises(ValueError, match=(
+            "holds no meta-learner state .no task_seeds, iteration, rng.")):
+        MetaSac.load(path, cfg)
+
+
 def test_meta_checkpoint_refuses_another_config(tmp_path):
     cfg, probe, meta = meta_setup()
     path = str(tmp_path / "meta.npz")

@@ -185,6 +185,25 @@ def assert_same_batch(a: dict, b: dict):
         assert np.array_equal(a[key], b[key]), key
 
 
+def test_sample_from_rows_draws_what_rng_choice_over_them_draws():
+    buf = ReplayBuffer(capacity=50, obs_dim=2, act_dim=1)
+    fill = np.random.default_rng(1)
+    for i in range(20):
+        buf.add(fill.standard_normal(2), fill.standard_normal(1), float(i),
+                fill.standard_normal(2), i % 3 == 0)
+    # without replacement while the pool holds a batch, with it below
+    for rows, size in ((None, 8), (None, 30), (np.array([3, 7, 11, 15]), 4),
+                       (np.array([19, 2, 5]), 6)):
+        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+        pool = buf.size if rows is None else rows
+        n = buf.size if rows is None else len(rows)
+        idx = ref.choice(pool, size=size, replace=n < size)
+        assert_same_batch(buf.sample(size, rng, rows), buf.get(idx))
+        assert rng.bit_generator.state == ref.bit_generator.state
+    with pytest.raises(ValueError, match="empty"):
+        buf.sample(2, np.random.default_rng(0), np.array([], dtype=int))
+
+
 def test_growing_buffer_equals_full_capacity_buffer_bitwise():
     # storage grows twice (INITIAL_ROWS, twice that, capacity), then the
     # ring wraps over the oldest rows

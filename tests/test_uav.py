@@ -118,6 +118,19 @@ def test_flight_config_validation():
                      q_min=np.ones(3), q_max=np.ones(3), q_init=np.zeros(3))
 
 
+@pytest.mark.parametrize("change, msg", [
+    (dict(n_slots=0), "need at least one slot"),
+    (dict(return_tolerance=-1.0), "return_tolerance must be non-negative"),
+    (dict(q_init=np.zeros(2)), "q_init must be a 3-vector"),
+    (dict(q_min=np.zeros((1, 3))), "q_min must be a 3-vector")])
+def test_flight_config_owns_the_slot_count_tolerance_and_shapes(change,
+                                                                 msg):
+    fields = dict(slot_duration=1.0, n_slots=5, v_max=1.0, a_max=1.0,
+                  q_min=np.zeros(3), q_max=np.ones(3), q_init=np.zeros(3))
+    with pytest.raises(ValueError, match=msg):
+        FlightConfig(**{**fields, **change})
+
+
 def test_rotorcraft_params_validation():
     with pytest.raises(ValueError):
         RotorcraftParams(
