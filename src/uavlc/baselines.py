@@ -4,60 +4,46 @@ Both emit raw box actions, so decoded actions always satisfy the
 dynamic-range and binary-selection constraints. The greedy procedure:
 activate the LEDs with the largest aggregate estimated gain, shape beam
 columns along each user's estimated channel with power-cascade norms, then
-bisect a common scale to the smallest value meeting the rate floor on
+scale them by the smallest common factor meeting the rate floor on
 estimated channels (capped at the dynamic-range bound). Flight: clamped
 max velocity toward the user centroid, reserving slots to return home.
 
-The power-cascade fixed point runs on Python floats: its ratio matrix is
-formed once with numpy, and its sums run left to right, which equals
-numpy's own sum bit for bit below 8 terms (numpy sums longer runs in 8-way
-pairwise blocks). The bisection stops once a midpoint rounds onto an end of
-its bracket, from where every further step would repeat itself.
+Power cascade. Along the decoding order (ascending effective gain g_p,
+r_pj = (g_p / g_j)^2), position p needs the SINR requirement
+e_p >= gamma (sum_{j>p} r_pj e_j + N) and, for p > 0, the ordering margin
+e_p >= (1 + ORDER_MARGIN) e_{p-1}: the cheapest design is the least fixed
+point of a monotone max-affine map F. A strategy picks one branch per
+position. A head (a position on its SINR branch) and the positions after
+it on their order branch form a block, member p being
+(1 + ORDER_MARGIN)^(p - a) e_a, so one backward pass solves the strategy:
+e_a = gamma (tail_a + N) / (1 - gamma sum_p (1 + ORDER_MARGIN)^(p - a)
+r_ap), with tail_a = sum r_aj e_j over the later blocks (only gain
+ratios enter, so tiny gains cannot underflow into a zero divisor). The
+strategy's map lies below F, so its solution lies below F's
+least fixed point, and a denominator <= 0 (the strategy's own least fixed
+point is infinite) proves the floor unreachable. Strategy iteration starts
+with every position on its SINR branch and, after each solve, switches
+every position whose other branch is larger by more than 1e-12 relative.
+The switches raise the solution, so no strategy repeats and the loop ends;
+with no switch left the solution is a fixed point of F no larger than the
+least one, hence the least one (2n solves bound the loop; 20,000 random
+cascades of 1 to 12 users needed at most n). When the floor is
+unreachable, when the design would pass the divergence cap (gamma N 1e12)
+or when the loop runs past its bound, the monotone sweep from gamma N runs
+instead, up to MAX_SWEEPS sweeps or the cap: its iterate shapes the capped
+design downstream.
 
-Floor screen. Most bisection midpoints lie far from the rate floor, and
-`floor_screen` settles those in closed form, once per slot. Since
-h_est >= 0 and w >= 0, the t-free cross gains C = (h_est.T @ w)**2 and the
-decoding order at t = 1 give each served user's SINR at scale t as
-t^2 S_k / (t^2 I_k + N), with S_k = C[k, k] and I_k the sum of C[k, i] over
-the users i decoded after k. With gamma = 2^floor - 1, a midpoint fails when
-some served SINR is below gamma (1 - eps) and passes when every one is above
-gamma (1 + eps); every other midpoint, NaN included, runs the exact test.
-
-The tolerance eps bounds the rounding on both sides (u = 2^-53, n LEDs,
-K users, first order). A dot product of non-negative terms, in any order and
-with or without FMA, is within n u of its real value, so an exact-test cross
-gain (sum_n h fl(w t))^2 is within (2n + 3) u; summing the later users left to
-right, adding N and dividing put its SINR within (4n + K + 6) u. The
-screen's own S_k, I_k, products and sums are within (4n + K + 11) u, and its
-gamma within 3u + 2u/gamma (pow within one ulp). Forming 1 + SINR (u
-absolute) and np.log2 (within 4 ulp) shift the exact test's edge by at most
-u (1 + 1/gamma)(1 + 8 ln(1 + gamma)) in SINR terms. A verdict is therefore
-exact once eps > (8n + 2K + 26 + 8 ln(1 + gamma)) u + 3u/gamma. The screen
-uses eps = 1e-11 + 1e-13/gamma, ten times that bound within its range.
-
-Range. The screen is built only for n + K <= 1000, 2^-30 <= gamma <= 2^100,
-2^-300 <= N <= 2^300, t_cap <= 2^40 and every entry of h_est and of the
-active beams 0 or in [2^-200, 2^40], and it settles only scales in
-[2^-61, t_cap] (the bracket starts at hi >= 1 and halves at most
-BISECT_ITERS = 60 times).
-There every product, gain and sum is 0 or a normal float, so the bounds hold
-and a zero gain is exactly zero at every scale; only a SINR quotient can
-underflow, by less than 2^-1074, far inside the margin gamma eps >= 1e-13.
-
-Certified order. The einsum gains `order_users` sorts are within (2n + 3) u
-of t^2 times their real values at every scale, and the diagonal of C within
-(2n + 1) u at t = 1. If each consecutive pair along the order at t = 1 has
-a zero lower gain or a relative gap above 1e-11 (more than (8n + 10) u),
-`order_users` returns that order at every scale, and the exact tests reuse
-it instead of sorting again. A pair closer than that (near-tied gains) gets
-no screen: every test then runs `order_users` and `per_user_rate` as
-before. Cascade designs keep consecutive powers 30% apart, so in practice
-their orders certify.
-
-Why bit-identical: a settled midpoint gets the answer the exact test would
-give, a certified order is the one `order_users` would return, and every
-other test runs unchanged, so the bisection visits the same midpoints,
-stops at the same one and returns the same scale.
+Common scale. Since h_est >= 0 and w >= 0, the cross gains
+C = (h_est.T @ w)^2 and the decoding order at scale 1 give each served
+user's SINR at scale t as t^2 S_k / (t^2 I_k + N), with S_k = C[k, k] and
+I_k the sum of C[k, i] over the users i decoded after k (a common scale
+multiplies every effective gain by t^2, so the order holds, up to the
+rounding of near-tied gains). The SINR increases with t toward S_k / I_k.
+With gamma_f = 2^floor - 1, user k meets the floor from
+t_k = sqrt(gamma_f N / (S_k - gamma_f I_k)) on, and at no scale when
+S_k <= gamma_f I_k. The smallest scale is t* = max_k t_k; the design takes
+t* (1 + 1e-9), which covers the rounding of the exact rate test, capped at
+the dynamic-range bound.
 """
 
 from __future__ import annotations
@@ -71,11 +57,9 @@ from .dimming import LedSelection, select_leds
 from .env import start_box
 from .metrics import per_user_rate, order_users, total_power
 
-# relative rounding budget of the floor screen and of its order certificate
-SCREEN_TOL = 1e-11
 ORDER_MARGIN = 0.3   # least relative gap between consecutive cascade powers
 HEADROOM = 0.05      # relative rate-floor headroom of the greedy design
-BISECT_ITERS = 60    # most halvings of the greedy bisection bracket
+MAX_SWEEPS = 200     # most sweeps of the unreachable-floor cascade
 
 
 class RandomPolicy:
@@ -100,20 +84,19 @@ class RandomPolicy:
 
 
 def noma_cascade_amplitudes(gains: np.ndarray, r_min: float,
-                            noise_var: float,
-                            max_iters: int = 200) -> np.ndarray:
-    """Near-minimal effective signal amplitudes meeting the rate floor.
+                            noise_var: float) -> np.ndarray:
+    """Minimal effective signal amplitudes meeting the rate floor.
 
     gains: per-user effective channel amplitude per unit beam amplitude.
     Decoding runs in ascending order of effective gain with interference
     from later-decoded users, so a consistent design must keep the
     effective amplitudes ascending along the decoding order while every
-    SINR clears the floor. The least such point is found by a monotone
-    fixed-point iteration (raise any user below its SINR requirement, then
-    restore strict ordering). ORDER_MARGIN keeps consecutive effective
-    powers separated by a relative gap, so the realized decoding order
-    survives channel-estimate error. When the requirements diverge the
-    floor is unreachable at any power and the current iterate is returned
+    SINR clears the floor. ORDER_MARGIN keeps consecutive effective powers
+    separated by a relative gap, so the realized decoding order survives
+    channel-estimate error. The least such point comes from strategy
+    iteration (module docstring). When the floor is unreachable at any
+    power, sweeps of the monotone iteration (raise any user below its SINR
+    requirement, then restore strict ordering) give the returned iterate
     (it will be capped at the dynamic-range bound downstream). Zero-gain
     users get zero: their floor is unreachable regardless of power.
     """
@@ -127,10 +110,72 @@ def noma_cascade_amplitudes(gains: np.ndarray, r_min: float,
     # ratio[p][j] = (g_p / g_j)^2 over positions in decoding order
     ratio = ((g[:, None] / g[None, :]) ** 2).tolist()
     noise_var = float(noise_var)
-    n = order.size
-    e = [gamma * noise_var] * n
     cap = gamma * noise_var * 1e12
-    for _ in range(max_iters):
+    e = _least_cascade(ratio, gamma, noise_var)
+    if e is None or e[-1] > cap:
+        e = _cascade_sweeps(ratio, gamma, noise_var, cap)
+    e2[order] = e
+    return np.sqrt(e2)
+
+
+def _least_cascade(ratio: list, gamma: float, noise_var: float):
+    """Least fixed point of the cascade requirements, by strategy iteration.
+
+    ratio[p][j] = (g_p / g_j)^2 over positions in decoding order. Returns
+    the effective powers in that order, or None when the floor is
+    unreachable or the strategies do not settle within their bound.
+    """
+    n = len(ratio)
+    grow = 1.0 + ORDER_MARGIN
+    head = [True] * n       # on the SINR branch
+    e = [0.0] * n
+    for _ in range(2 * n):
+        b = n - 1
+        while b >= 0:
+            a = b
+            while not head[a]:
+                a -= 1
+            row = ratio[a]
+            # members a+1..b are e_a grow^(p - a)
+            loop, mult = 0.0, 1.0
+            for p in range(a + 1, b + 1):
+                mult *= grow
+                loop += mult * row[p]
+            den = 1.0 - gamma * loop
+            if den <= 0.0:
+                return None
+            tail = 0.0
+            for j in range(b + 1, n):
+                tail += e[j] * row[j]
+            e[a] = gamma * (tail + noise_var) / den
+            for p in range(a + 1, b + 1):
+                e[p] = e[p - 1] * grow
+            b = a - 1
+        switched = False
+        for p in range(1, n):
+            if head[p]:
+                other = e[p - 1] * grow
+            else:
+                row = ratio[p]
+                other = 0.0
+                for j in range(p + 1, n):
+                    other += e[j] * row[j]
+                other = gamma * (other + noise_var)
+            if other > e[p] * (1.0 + 1e-12):
+                head[p] = not head[p]
+                switched = True
+        if not switched:
+            return e
+    return None
+
+
+def _cascade_sweeps(ratio: list, gamma: float, noise_var: float,
+                    cap: float) -> list:
+    """The monotone sweep iteration from gamma N, stopped once it passes
+    the cap, settles or has run MAX_SWEEPS sweeps."""
+    n = len(ratio)
+    e = [gamma * noise_var] * n
+    for _ in range(MAX_SWEEPS):
         changed = False
         for pos in range(n - 1, -1, -1):
             row = ratio[pos]
@@ -148,65 +193,7 @@ def noma_cascade_amplitudes(gains: np.ndarray, r_min: float,
                 changed = True
         if not changed or e[-1] > cap:
             break
-    e2[order] = e
-    return np.sqrt(e2)
-
-
-def _in_screen_range(x: np.ndarray) -> bool:
-    """Every entry 0 or in [2^-200, 2^40]; False on NaN."""
-    return bool(((x == 0.0) | ((x >= 2.0 ** -200) & (x <= 2.0 ** 40))).all())
-
-
-def floor_screen(h_est: np.ndarray, w: np.ndarray, selection: LedSelection,
-                 served: np.ndarray, floor: float, noise_var: float,
-                 t_cap: float):
-    """Certified decoding order and closed-form floor verdicts, or None.
-
-    Returns (order, verdict) for the scales t of `w * t` with
-    2^-61 <= t <= t_cap: `order_users` returns `order` at each of them,
-    and verdict(t) is True or False where the exact floor test on the
-    served users is sure to give that answer, None where it is not.
-    Returns None when the order at t = 1 is not certified or the inputs
-    leave the range the error bounds assume. The module docstring derives
-    the tolerance and the range.
-    """
-    n, k_users = h_est.shape
-    gamma = 2.0 ** floor - 1.0
-    masked = w * selection.a[:, None]
-    if not (n + k_users <= 1000 and 2.0 ** -30 <= gamma <= 2.0 ** 100
-            and 2.0 ** -300 <= noise_var <= 2.0 ** 300
-            and t_cap <= 2.0 ** 40
-            and _in_screen_range(h_est) and _in_screen_range(masked)):
-        return None
-    order = order_users(h_est, w, selection)
-    ks = order.tolist()
-    cross = ((h_est.T @ masked) ** 2).tolist()
-    gains = [cross[k][k] for k in ks]
-    if not all(lo == 0.0 or hi > lo * (1.0 + SCREEN_TOL)
-               for lo, hi in zip(gains, gains[1:])):
-        return None
-    # (S_k, I_k) of each served user: signal and interference at t = 1
-    users = [(cross[k][k], sum(cross[k][i] for i in ks[pos + 1:]))
-             for pos, k in enumerate(ks) if served[k]]
-    eps = SCREEN_TOL + 1e-13 / gamma
-    fail, clear = gamma * (1.0 - eps), gamma * (1.0 + eps)
-    t_min = 2.0 ** -61
-
-    def verdict(t: float):
-        # comparisons are written so that a NaN settles nothing
-        if not t_min <= t <= t_cap:
-            return None
-        t2 = t * t
-        passed = True
-        for s, i in users:
-            den = t2 * i + noise_var
-            if t2 * s < fail * den:
-                return False
-            if not t2 * s > clear * den:
-                passed = False
-        return True if passed else None
-
-    return order, verdict
+    return e
 
 
 def cascade_beamformer(h_est: np.ndarray, selection: LedSelection,
@@ -215,10 +202,10 @@ def cascade_beamformer(h_est: np.ndarray, selection: LedSelection,
     """Minimum-common-scale beamformer for one slot.
 
     Columns are proportional to the (non-negative) estimated channel over
-    active LEDs with cascade norms; a bisection on the common scale finds
-    the smallest multiple meeting the rate floor for every user on
-    estimated channels. The floor is designed with a relative HEADROOM
-    so the point survives bounded channel-estimate error when
+    active LEDs with cascade norms; the smallest common multiple meeting
+    the rate floor for every user on estimated channels comes in closed
+    form (module docstring). The floor is designed with a relative
+    HEADROOM so the point survives bounded channel-estimate error when
     judged on true channels. The scale is capped so no LED row exceeds
     the dynamic-range bound.
     """
@@ -241,40 +228,22 @@ def cascade_beamformer(h_est: np.ndarray, selection: LedSelection,
     if t_cap <= 1.0:
         return w * t_cap
 
-    served = eff_gain > 0.0
-    floor = r_target * (1.0 - 1e-9)
-    noise = np.full(k_users, noise_var)
-    # without a certified order every test runs the exact path
-    order, verdict = (floor_screen(h_est, w, selection, served, floor,
-                                   noise_var, t_cap)
-                      or (None, lambda t: None))
-
-    def meets_floor(t: float) -> bool:
-        settled = verdict(t)
-        if settled is not None:
-            return settled
-        wt = w * t
-        rr = per_user_rate(h_est, wt, selection, noise,
-                           order_users(h_est, wt, selection)
-                           if order is None else order)
-        return bool((rr.rates[served] >= floor).all())
-
-    lo, hi = 0.0, min(1.0 + 1e-9, t_cap)
-    if not meets_floor(hi):
-        hi = t_cap
-        if not meets_floor(hi):
-            return w * t_cap
-    for _ in range(BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        # hi has passed and lo (0, or a checked point) has failed, so a
-        # midpoint that rounds onto either leaves the bracket unchanged
-        if mid == lo or mid == hi:
-            break
-        if meets_floor(mid):
-            hi = mid
-        else:
-            lo = mid
-    return w * min(hi * (1.0 + 1e-9), t_cap)
+    gamma = 2.0 ** (r_target * (1.0 - 1e-9)) - 1.0
+    ks = order_users(h_est, w, selection).tolist()
+    # w is zero off the active rows, so these are the masked cross gains
+    cross = ((h_est.T @ w) ** 2).tolist()
+    t2 = 0.0
+    for pos, k in enumerate(ks):
+        if eff_gain[k] > 0.0:
+            margin = cross[k][k] - gamma * sum(cross[k][i]
+                                               for i in ks[pos + 1:])
+            if margin <= 0.0:
+                return w * t_cap
+            t2 = max(t2, gamma * noise_var / margin)
+    t = math.sqrt(t2)
+    if t > t_cap:
+        return w * t_cap
+    return w * min(t * (1.0 + 1e-9), t_cap)
 
 
 class GreedyPolicy:

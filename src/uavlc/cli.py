@@ -57,8 +57,12 @@ def _policy_for(args, env):
         return GreedyPolicy(env)
     if args.scheme == "random":
         return RandomPolicy(env, seed=args.seed)
-    return make_agent_policy(SacAgent.load(args.checkpoint, env.cfg,
-                                           env.obs_dim, env.action_dim))
+    try:
+        agent = SacAgent.load(args.checkpoint, env.cfg, env.obs_dim,
+                              env.action_dim)
+    except (OSError, ValueError) as err:
+        raise UsageError(err) from err
+    return make_agent_policy(agent)
 
 
 def cmd_simulate(args):

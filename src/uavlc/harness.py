@@ -30,6 +30,7 @@ from .baselines import GreedyPolicy, RandomPolicy
 from .config import SystemConfig
 from .env import Task, VlcUavEnv, rollout, sample_task
 from .meta import MetaSac
+from .metrics import energy_efficiency
 from .sac import SacAgent, train_sac
 
 SWEEP_VARS = {"K": "n_users", "P_max": "p_max", "R_min": "r_min",
@@ -156,7 +157,8 @@ def evaluate(env: VlcUavEnv, policy, episodes: int, seed: int) -> dict:
         trace = env.trace
         p_tot.append(trace.mean("p_total"))
         sum_rate.append(trace.mean("sum_rate"))
-        ee.append(float(np.mean([r["sum_rate"] / r["p_total"]
+        ee.append(float(np.mean([energy_efficiency(r["sum_rate"],
+                                                   r["p_total"])
                                  for r in trace.rows])))
         feas.append(trace.feasibility_fraction())
     return {"mean_p_tot": float(np.mean(p_tot)),

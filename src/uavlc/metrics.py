@@ -4,12 +4,13 @@ Users decode in ascending order of effective gain |h_k^H A w_k|^2; each user
 is interfered only by users later (stronger) in that order. Energy
 efficiency is the sum rate over total consumed power.
 
-`per_user_rate` is the one SINR loop: the feasibility report and the greedy
-bisection both call it, many times per slot. It forms the cross-gain matrix
-with numpy and sums the interference over Python floats, left to right,
-which equals numpy's own sum bit for bit below 8 terms (numpy sums longer
-runs in 8-way pairwise blocks). The logarithm stays one vector `np.log2`:
-`math.log2` differs from it in the last bit on some inputs.
+`per_user_rate` is the one SINR loop: the feasibility report calls it once
+per slot, and the exhaustive greedy slot search once per LED subset. It
+forms the cross-gain matrix with numpy and sums the interference over
+Python floats, left to right, which equals numpy's own sum bit for bit
+below 8 terms (numpy sums longer runs in 8-way pairwise blocks). The
+logarithm stays one vector `np.log2`: `math.log2` differs from it in the
+last bit on some inputs.
 
 `order_users` keeps its own `einsum` for the effective gains. The diagonal
 of the cross-gain matrix `h.T @ masked` holds the same quantity, but BLAS
@@ -135,11 +136,11 @@ def _power(magnitudes: np.ndarray, n_active: int, i_dc: float,
                           circuit=circuit_power, propulsion=p_propulsion)
 
 
-def energy_efficiency(rates: RateReport, power: PowerBreakdown) -> float:
+def energy_efficiency(sum_rate: float, p_total: float) -> float:
     """Sum rate per watt of total consumed power."""
-    if power.total <= 0:
+    if p_total <= 0:
         raise ZeroDivisionError("total power must be positive")
-    return rates.sum_rate / power.total
+    return sum_rate / p_total
 
 
 def check_p1_feasibility(w: np.ndarray, selection: LedSelection, i_dc: float,

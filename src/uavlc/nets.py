@@ -51,12 +51,6 @@ class Mlp:
         """Per-layer views in `flat` order: w0, b0, w1, b1, ..."""
         return [p for wb in zip(self.weights, self.biases) for p in wb]
 
-    def get_flat(self) -> np.ndarray:
-        return self.flat.copy()
-
-    def set_flat(self, flat: np.ndarray):
-        self.flat[:] = flat
-
     def clone(self) -> "Mlp":
         other = Mlp.__new__(Mlp)
         other.sizes = list(self.sizes)

@@ -120,18 +120,18 @@ def test_sac_gradients_match_finite_differences_over_20_seeds():
         for net, grads in ((agent.q1, g1), (agent.q2, g2)):
             def critic_loss(flat, net=net):
                 probe = net.clone()
-                probe.set_flat(flat)
+                probe.flat[:] = flat
                 return float(np.mean((probe(qin)[:, 0] - y) ** 2))
 
             analytic = np.concatenate([g.ravel() for g in grads])
             worst = max(worst, _max_rel_err(
-                analytic, _fd_grad(critic_loss, net.get_flat())))
+                analytic, _fd_grad(critic_loss, net.flat.copy())))
 
         ga, _ = agent.actor_grads(data, xi=xi)
 
         def actor_loss(flat):
             probe = agent.actor.clone()
-            probe.set_flat(flat)
+            probe.flat[:] = flat
             fw = gaussian_policy_forward(probe, data["obs"], xi)
             q_in = np.concatenate([data["obs"], fw["action"]], axis=1)
             q_min = np.minimum(agent.q1(q_in)[:, 0], agent.q2(q_in)[:, 0])
@@ -139,7 +139,7 @@ def test_sac_gradients_match_finite_differences_over_20_seeds():
 
         analytic = np.concatenate([g.ravel() for g in ga])
         worst = max(worst, _max_rel_err(
-            analytic, _fd_grad(actor_loss, agent.actor.get_flat())))
+            analytic, _fd_grad(actor_loss, agent.actor.flat.copy())))
     assert worst < 1e-4, f"worst relative gradient error {worst:.3e}"
 
 

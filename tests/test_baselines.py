@@ -3,18 +3,21 @@
 import numpy as np
 import pytest
 
-from uavlc import GreedyPolicy, LedSelection, RandomPolicy, VlcUavEnv, sample_task
+from uavlc import (GreedyPolicy, LedSelection, RandomPolicy, SystemConfig,
+                   VlcUavEnv, rollout, sample_task)
 import uavlc.baselines as baselines
-from uavlc.baselines import (cascade_beamformer, floor_screen,
-                             greedy_exhaustive_slot, noma_cascade_amplitudes)
+from uavlc.baselines import (cascade_beamformer, greedy_exhaustive_slot,
+                             noma_cascade_amplitudes)
 from uavlc.metrics import order_users, per_user_rate
 
 from conftest import small_config
+from test_acceptance import K_REGIME
 from test_metrics import reference_per_user_rate
 
 
-# The numpy-per-element kernels the Python-float ones replaced, kept
-# verbatim (apart from their names) as the references they must match.
+# The earlier numpy-per-element kernels, kept verbatim (apart from their
+# names): the monotone cascade sweep and the common-scale bisection, the
+# references the closed forms are checked against.
 
 def reference_noma_cascade_amplitudes(gains: np.ndarray, r_min: float,
                                       noise_var: float,
@@ -107,9 +110,38 @@ def assert_matches_reference(got, want, k_users):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
+def cascade_requirements(e2, gains, gamma, noise):
+    """Each served position's SINR and ordering requirements on the
+    effective powers e2, in decoding order (ordering margin 0.3)."""
+    served = np.flatnonzero(gains > 0.0)
+    order = served[np.argsort(gains[served], kind="stable")]
+    sinr, ordering = [], []
+    for pos, k in enumerate(order):
+        later = order[pos + 1:]
+        sinr.append(gamma * (np.sum(e2[later] * (gains[k] / gains[later]) ** 2)
+                             + noise))
+        ordering.append(e2[order[pos - 1]] * 1.3 if pos else 0.0)
+    return order, np.array(sinr), np.array(ordering)
+
+
+def cascade_reachable(gains, gamma):
+    """Whether the least fixed point is finite: no position on its SINR
+    branch, with every later position tied to it by the ordering margin
+    0.3, has a loop gain (gamma times the sum of their multiples of it)
+    of 1 or more."""
+    g = np.sort(gains[gains > 0.0])
+    step = 1.3 * (g[:-1] / g[1:]) ** 2
+    return all(gamma * np.cumprod(step[a:]).sum() < 1.0
+               for a in range(g.size - 1))
+
+
 @pytest.mark.parametrize("k_users", range(1, 13))
-def test_cascade_amplitudes_match_reference_bitwise(k_users):
+def test_cascade_amplitudes_are_the_least_fixed_point(k_users):
+    """Reachable floors give the least design meeting both requirements at
+    every position; unreachable ones, and ones whose design passes the
+    divergence cap, give the reference sweep's capped iterate."""
     rng = np.random.default_rng(200 + k_users)
+    settled = truncated = unreachable = 0
     for trial in range(150):
         gains = rng.random(k_users) * 10.0 ** rng.uniform(-6.0, 2.0)
         if trial % 3 == 0:
@@ -119,15 +151,39 @@ def test_cascade_amplitudes_match_reference_bitwise(k_users):
             gains = gains[0] * (1.0 + 1e-3 * rng.random(k_users))
         r_min = rng.uniform(0.01, 3.0)
         noise = 10.0 ** rng.uniform(-22.0, 0.0)
+        gamma = 2.0 ** r_min - 1.0
         got = noma_cascade_amplitudes(gains, r_min, noise)
         want = reference_noma_cascade_amplitudes(gains, r_min, noise)
-        assert_matches_reference(got, want, k_users)
-    # max_iters exit before the iterate settles
-    gains = np.linspace(1.0, 2.0, k_users)
-    assert_matches_reference(
-        noma_cascade_amplitudes(gains, 1.0, 1e-3, max_iters=2),
-        reference_noma_cascade_amplitudes(gains, 1.0, 1e-3, max_iters=2),
-        k_users)
+        assert np.all(got[gains == 0.0] == 0.0)
+        if (not cascade_reachable(gains, gamma)
+                or np.max(want ** 2, initial=0.0) > gamma * noise * 1e12):
+            assert_matches_reference(got, want, k_users)
+            unreachable += 1
+            continue
+        e2 = got ** 2
+        order, sinr, ordering = cascade_requirements(e2, gains, gamma, noise)
+        np.testing.assert_allclose(e2[order], np.maximum(sinr, ordering),
+                                   rtol=1e-12, atol=0.0)
+        assert np.all(got >= want * (1.0 - 1e-12))
+        # one more sweep changes nothing exactly when the sweep settled
+        more = reference_noma_cascade_amplitudes(gains, r_min, noise,
+                                                 max_iters=201)
+        if np.array_equal(more, want):
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+            settled += 1
+        else:
+            truncated += 1
+    assert settled > 0 and (unreachable > 0 or k_users == 1)
+
+
+def test_cascade_amplitudes_depend_only_on_gain_ratios():
+    # gains of 1e-160 square to zero in floats; the design must not care
+    gains = np.array([0.4, 1.0, 3.0, 0.0])
+    want = noma_cascade_amplitudes(gains, 0.5, 1e-3)
+    for scale in (1e-160, 1e150):
+        np.testing.assert_allclose(
+            noma_cascade_amplitudes(gains * scale, 0.5, 1e-3), want,
+            rtol=1e-12, atol=0.0)
 
 
 def random_slot(rng, k_users):
@@ -139,36 +195,79 @@ def random_slot(rng, k_users):
     return h_est, LedSelection(a=a)
 
 
-@pytest.mark.parametrize("k_users", range(1, 13))
-def test_cascade_beamformer_matches_reference_bitwise(k_users):
-    rng = np.random.default_rng(300 + k_users)
-    for trial in range(40):
+def random_beam_slots(seed, k_users, trials):
+    rng = np.random.default_rng(seed)
+    for trial in range(trials):
         h_est, sel = random_slot(rng, k_users)
         if trial % 4 == 0:
             h_est[:, rng.integers(k_users)] = 0.0  # a user with no channel
         bound = 10.0 ** rng.uniform(-3.0, 3.0)
         r_min = rng.uniform(0.01, 1.0)
         noise = 10.0 ** rng.uniform(-22.0, -14.0)
+        yield h_est, sel, bound, r_min, noise
+
+
+@pytest.mark.parametrize("k_users", range(1, 13))
+def test_cascade_beamformer_scale_matches_reference_bisection(
+        k_users, monkeypatch):
+    """On the reference's beam shape, the closed-form scale agrees with the
+    reference bisection carried to float resolution: a 60-step bracket
+    that starts at t_cap ~ 1e7 is still ~1e-11 wide."""
+    monkeypatch.setattr(baselines, "noma_cascade_amplitudes",
+                        reference_noma_cascade_amplitudes)
+    for h_est, sel, bound, r_min, noise in random_beam_slots(
+            300 + k_users, k_users, 40):
         got = cascade_beamformer(h_est, sel, bound, r_min, noise)
-        want = reference_cascade_beamformer(h_est, sel, bound, r_min, noise)
-        assert_matches_reference(got, want, k_users)
+        want = reference_cascade_beamformer(h_est, sel, bound, r_min, noise,
+                                            bisect_iters=200)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def exact_floor_test(h_est, w, sel, r_min, noise_var):
+    """The reference bisection's rate test on the served users."""
+    k_users = h_est.shape[1]
+    served = h_est[sel.a.astype(bool)].sum(axis=0) > 0.0
+    rr = per_user_rate(h_est, w, sel, np.full(k_users, noise_var),
+                       order_users(h_est, w, sel))
+    return bool((rr.rates[served] >= r_min * 1.05 * (1.0 - 1e-9)).all())
+
+
+@pytest.mark.parametrize("k_users", range(1, 13))
+def test_cascade_beamformer_scale_is_the_least_meeting_the_floor(k_users):
+    """The exact rate test passes at the returned scale and fails just
+    below it, unless the scale is capped at the dynamic-range bound."""
+    capped = uncapped = 0
+    for h_est, sel, bound, r_min, noise in random_beam_slots(
+            400 + k_users, k_users, 40):
+        w = cascade_beamformer(h_est, sel, bound, r_min, noise)
+        rows = np.abs(w[sel.a.astype(bool)]).sum(axis=1)
+        if not np.any(rows):
+            continue        # no user has a channel: nothing to scale
+        at_cap = np.isclose(rows.max(), bound, rtol=1e-12, atol=0.0)
+        passes = exact_floor_test(h_est, w, sel, r_min, noise)
+        assert passes or at_cap
+        assert not exact_floor_test(h_est, w * 0.99999999, sel, r_min, noise)
+        capped += at_cap
+        uncapped += not at_cap
+    assert capped > 0 and uncapped > 0
 
 
 def test_cascade_beamformer_matches_reference_on_its_exits():
     sel = LedSelection(a=np.array([1, 1, 1, 0]))
     # t_cap <= 1: the design alone already exceeds the dynamic range
     h_small = np.tile([1e-9, 2e-9], (4, 1))
-    # near-equal gains: no scale meets the floor, so the bisection never
-    # starts and the scale is capped (meets_floor(t_cap) fails)
+    # near-equal gains: no scale meets the floor, so the scale is capped
     h_tied = np.tile([1.0, 1.01], (4, 1))
-    # separated gains: a full bisection
-    h_apart = np.tile([0.03, 0.2], (4, 1))
     for h_est, bound, r_min, noise in ((h_small, 0.01, 4.0, 1.0),
-                                       (h_tied, 1e6, 2.0, 1e-20),
-                                       (h_apart, 50.0, 1.0, 1e-4)):
+                                       (h_tied, 1e6, 2.0, 1e-20)):
         got = cascade_beamformer(h_est, sel, bound, r_min, noise)
         want = reference_cascade_beamformer(h_est, sel, bound, r_min, noise)
         assert np.array_equal(got, want)
+    # separated gains: the closed-form scale
+    h_apart = np.tile([0.03, 0.2], (4, 1))
+    got = cascade_beamformer(h_apart, sel, 50.0, 1.0, 1e-4)
+    want = reference_cascade_beamformer(h_apart, sel, 50.0, 1.0, 1e-4)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
     # the tied case really takes the capped exit: every active row sits
     # at the bound and the floor is missed
     got = cascade_beamformer(h_tied, sel, 1e6, 2.0, 1e-20)
@@ -178,142 +277,43 @@ def test_cascade_beamformer_matches_reference_on_its_exits():
     assert not np.all(rr.rates >= 2.0)
 
 
-def exact_floor_test(h_est, w, sel, served, floor, noise_var, t):
-    """The bisection's exact test at scale t, and the order it used."""
-    wt = w * t
-    order = order_users(h_est, wt, sel)
-    rr = per_user_rate(h_est, wt, sel, np.full(h_est.shape[1], noise_var),
-                       order)
-    return bool((rr.rates[served] >= floor).all()), order
+def test_greedy_sweep_keeps_the_reference_feasibility(monkeypatch):
+    """The gate's K regime, K = 1..5 on six layouts: every slot keeps the
+    reference beamformer's feasibility, and its total power within 1e-4
+    wherever the reference sweep settled. Where 200 sweeps cut it short,
+    the exact cascade may only be cheaper."""
+    def slots():
+        rows = []
+        for k in range(1, 6):
+            cfg = SystemConfig(n_users=k, **K_REGIME)
+            for layout in range(6):
+                task = sample_task(cfg, np.random.default_rng(3000 + layout))
+                env = VlcUavEnv(cfg, task)
+                rollout(env, GreedyPolicy(env), layout)
+                rows += env.trace.rows
+        return rows
 
+    cut = []    # per slot: the reference sweep had not settled
 
-def threshold_grid(t_star, t_cap):
-    """Scales around t_star: relative steps down to 1e-16, powers of 2^.25."""
-    rel = [s * 10.0 ** -j for j in range(1, 17) for s in (-4, -1, 1, 4)]
-    far = [2.0 ** (k / 4) - 1.0 for k in range(-24, 25)]
-    return [t_star * (1.0 + r) for r in rel + far] + [t_cap]
+    def recording(gains, r_min, noise_var):
+        want = reference_noma_cascade_amplitudes(gains, r_min, noise_var)
+        more = reference_noma_cascade_amplitudes(gains, r_min, noise_var,
+                                                 max_iters=201)
+        cut.append(not np.array_equal(want, more))
+        return noma_cascade_amplitudes(gains, r_min, noise_var)
 
-
-def check_screen(screen, args, scales):
-    """Each verdict the screen gives equals the exact test's answer, and
-    order_users returns the certified order at every scale it covers.
-    Returns how many scales were settled and how many were left."""
-    order, verdict = screen
-    h_est, w, sel, served, floor, noise_var, t_cap = args
-    settled = left = 0
-    for t in scales:
-        want, exact_order = exact_floor_test(h_est, w, sel, served, floor,
-                                             noise_var, t)
-        if 2.0 ** -61 <= t <= t_cap:
-            assert np.array_equal(exact_order, order), t
-        got = verdict(t)
-        if got is None:
-            left += 1
-        else:
-            assert got == want, (t, got)
-            settled += 1
-    return settled, left
-
-
-@pytest.mark.parametrize("k_users", range(1, 13))
-def test_floor_screen_agrees_with_the_exact_test_on_bisections(
-        k_users, monkeypatch):
-    """Every midpoint the bisection visits, and a dense grid around the
-    scale it settles on, on cascade designs."""
-    built = []
-
-    def recording(*args):
-        screen = floor_screen(*args)
-        if screen is None:
-            return None
-        order, verdict = screen
-        visited = []
-
-        def recorded(t):
-            visited.append(t)
-            return verdict(t)
-
-        built.append((args, screen, visited))
-        return order, recorded
-
-    monkeypatch.setattr(baselines, "floor_screen", recording)
-    rng = np.random.default_rng(400 + k_users)
-    settled = left = 0
-    for trial in range(30):
-        h_est, sel = random_slot(rng, k_users)
-        if trial % 3 == 0:
-            h_est[:, rng.integers(k_users)] = 0.0  # a user with no channel
-        bound = 10.0 ** rng.uniform(-3.0, 3.0)
-        r_min = 10.0 ** rng.uniform(-4.0, 0.3)
-        noise = 10.0 ** rng.uniform(-22.0, -14.0)
-        built.clear()
-        cascade_beamformer(h_est, sel, bound, r_min, noise)
-        for args, screen, visited in built:
-            h, w, s, served, floor, noise_var, t_cap = args
-            passing = [t for t in visited
-                       if exact_floor_test(h, w, s, served, floor,
-                                           noise_var, t)[0]]
-            t_star = min(passing) if passing else t_cap
-            got = check_screen(screen, args,
-                               visited + threshold_grid(t_star, t_cap))
-            settled += got[0]
-            left += got[1]
-    assert settled > 0 and left > 0
-
-
-@pytest.mark.parametrize("k_users", range(1, 13))
-def test_floor_screen_agrees_with_the_exact_test_on_any_beams(k_users):
-    """Arbitrary non-negative beams: zero-gain users, near-tied gains (the
-    uncertified path; cascade designs keep gains apart) and small floors."""
-    rng = np.random.default_rng(500 + k_users)
-    settled = left = uncertified = 0
-    for trial in range(40):
-        h_est, sel = random_slot(rng, k_users)
-        w = (rng.random(h_est.shape) * 10.0 ** rng.uniform(-7.0, -3.0, k_users)
-             * sel.a[:, None])
-        if trial % 3 == 0:
-            w[:, rng.integers(k_users)] = 0.0  # a user with zero gain
-        tie = None
-        if trial % 2 and k_users > 1:
-            a, b = rng.choice(k_users, 2, replace=False)
-            amp = np.einsum("nk,nk->k", h_est, w)
-            if amp[a] > 0.0 and amp[b] > 0.0:
-                tie = 10.0 ** rng.uniform(-16.0, -9.0)
-                w[:, b] *= amp[a] / amp[b] * (1.0 + tie)
-        served = rng.random(k_users) < 0.8
-        noise = 10.0 ** rng.uniform(-22.0, -14.0)
-        # S_k and I_k along the order at t = 1; the SINR at scale t is
-        # t^2 S / (t^2 I + N), which tends to S / I
-        cross = (h_est.T @ w) ** 2
-        ks = list(order_users(h_est, w, sel))
-        users = [(cross[k, k], cross[k, ks[pos + 1:]].sum())
-                 for pos, k in enumerate(ks) if served[k]]
-        reach = min([s / i if i > 0.0 else np.inf for s, i in users],
-                    default=np.inf)
-        # a floor down to 1e-4, within reach of every served user
-        floor = min(10.0 ** rng.uniform(-4.0, 0.5),
-                    0.99 * float(np.log2(1.0 + reach)))
-        gamma = 2.0 ** floor - 1.0
-        t2 = max([gamma * noise / (s - gamma * i) if s > gamma * i
-                  else np.inf for s, i in users], default=0.0)
-        t_star = float(np.sqrt(t2))
-        t_cap = (t_star * 10.0 ** rng.uniform(0.0, 2.0)
-                 if 0.0 < t_star < np.inf else 10.0 ** rng.uniform(0.0, 3.0))
-        args = (h_est, w, sel, served, floor, noise, t_cap)
-        screen = floor_screen(*args)
-        if screen is None:
-            uncertified += 1
-            continue
-        # gains tied within 1e-12 cannot carry a certified order
-        assert tie is None or tie > 1e-12
-        if not 0.0 < t_star <= t_cap:
-            t_star = t_cap
-        got = check_screen(screen, args, threshold_grid(t_star, t_cap))
-        settled += got[0]
-        left += got[1]
-    assert settled > 0 and left > 0
-    if k_users > 1:
-        assert uncertified > 0
+    monkeypatch.setattr(baselines, "noma_cascade_amplitudes", recording)
+    got = slots()
+    monkeypatch.setattr(baselines, "cascade_beamformer",
+                        reference_cascade_beamformer)
+    want = slots()
+    assert len(cut) == len(got) == len(want)
+    assert [r["feasible"] for r in got] == [r["feasible"] for r in want]
+    p_got = np.array([r["p_total"] for r in got])
+    p_want = np.array([r["p_total"] for r in want])
+    cut = np.array(cut)
+    np.testing.assert_allclose(p_got[~cut], p_want[~cut], rtol=1e-4, atol=0.0)
+    assert np.all(p_got[cut] <= p_want[cut] * (1.0 + 1e-4))
 
 
 def test_cascade_single_user_oracle():

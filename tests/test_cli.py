@@ -135,6 +135,45 @@ def test_adapt_refuses_a_plain_agent_checkpoint(cfg_path, tmp_path, capsys):
     assert not (tmp_path / "adapted.npz").exists()
 
 
+def agent_command(command, tmp_path):
+    """`eval` or `simulate` of the agent scheme, its output in tmp_path."""
+    out = str(tmp_path / "trace.csv")
+    return [command, "--scheme", "agent"] + (
+        ["--out", out] if command == "simulate" else [])
+
+
+@pytest.mark.parametrize("command", ["eval", "simulate"])
+def test_missing_agent_checkpoint_is_a_one_line_usage_error(
+        cfg_path, tmp_path, capsys, command):
+    missing = tmp_path / "none.npz"
+    with pytest.raises(SystemExit) as exit_info:
+        main(agent_command(command, tmp_path)
+             + ["--config", cfg_path, "--checkpoint", str(missing)])
+    assert exit_info.value.code == 2
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"uavlc {command}: error: ")
+    assert str(missing) in err
+
+
+@pytest.mark.parametrize("command", ["eval", "simulate"])
+def test_agent_checkpoint_of_another_config_is_a_one_line_usage_error(
+        cfg_path, tmp_path, capsys, command):
+    ckpt = tmp_path / "agent.npz"
+    main(["train", "--config", cfg_path, "--episodes", "1",
+          "--out", str(ckpt)])
+    other = tmp_path / "other.yaml"
+    with open(cfg_path) as f:
+        other.write_text(f.read().replace("r_min: 0.1", "r_min: 0.2"))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(agent_command(command, tmp_path)
+             + ["--config", str(other), "--checkpoint", str(ckpt)])
+    assert exit_info.value.code == 2
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"uavlc {command}: error: checkpoint config_hash ")
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def run_cli(*args):
     """`uavlc` in a fresh interpreter, with logging as a user sees it."""
     src = os.path.dirname(os.path.dirname(uavlc.__file__))

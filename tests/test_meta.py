@@ -34,18 +34,18 @@ def filled_buffer(env, n, seed=0):
 def test_inner_adapt_never_mutates_global_parameters():
     cfg, probe, meta = meta_setup()
     buf = filled_buffer(probe, 40)
-    before = [n.get_flat().copy() for n in
+    before = [n.flat.copy() for n in
               (meta.agent.actor, meta.agent.q1, meta.agent.q2,
                meta.agent.tq1, meta.agent.tq2)]
     adapted = meta.inner_adapt(buf, np.arange(len(buf)), steps=3)
-    after = [n.get_flat() for n in
+    after = [n.flat.copy() for n in
              (meta.agent.actor, meta.agent.q1, meta.agent.q2,
               meta.agent.tq1, meta.agent.tq2)]
     for b, a in zip(before, after):
         assert np.array_equal(b, a)
     # the adapted copy did move
-    assert not np.array_equal(adapted.actor.get_flat(),
-                              meta.agent.actor.get_flat())
+    assert not np.array_equal(adapted.actor.flat.copy(),
+                              meta.agent.actor.flat.copy())
 
 
 def test_outer_update_degenerates_to_plain_sac_step():
@@ -59,8 +59,8 @@ def test_outer_update_degenerates_to_plain_sac_step():
     meta.outer_update([(adapted, batch)])
     plain.update(batch)
     for name in ("actor", "q1", "q2", "tq1", "tq2"):
-        assert np.array_equal(getattr(meta.agent, name).get_flat(),
-                              getattr(plain, name).get_flat()), name
+        assert np.array_equal(getattr(meta.agent, name).flat.copy(),
+                              getattr(plain, name).flat.copy()), name
 
 
 def test_outer_update_requires_tasks():
@@ -76,18 +76,18 @@ def test_outer_update_refuses_a_non_finite_query_loss():
     batch = buf.get(np.arange(cfg.batch_size))
     batch["rew"][0] = np.inf
     adapted = meta.inner_adapt(buf, np.arange(len(buf)), steps=0)
-    before = meta.agent.q1.get_flat().copy()
+    before = meta.agent.q1.flat.copy()
     with pytest.raises(ValueError, match="network q1"):
         meta.outer_update([(adapted, batch)])
-    assert np.array_equal(meta.agent.q1.get_flat(), before)
+    assert np.array_equal(meta.agent.q1.flat.copy(), before)
 
 
 def test_meta_adapt_zero_episodes_returns_initialization():
     cfg, probe, meta = meta_setup()
     task = sample_task(cfg, np.random.default_rng(4))
     agent = meta.meta_adapt(task, episodes=0, seed=0)
-    assert np.array_equal(agent.actor.get_flat(),
-                          meta.agent.actor.get_flat())
+    assert np.array_equal(agent.actor.flat.copy(),
+                          meta.agent.actor.flat.copy())
     # fresh optimizer state for the adaptation phase
     assert agent.adam_actor.t == 0
 
@@ -95,12 +95,12 @@ def test_meta_adapt_zero_episodes_returns_initialization():
 def test_meta_adapt_is_deterministic_and_leaves_global_fixed():
     cfg, probe, meta = meta_setup()
     task = sample_task(cfg, np.random.default_rng(4))
-    before = meta.agent.actor.get_flat().copy()
+    before = meta.agent.actor.flat.copy()
     a1 = meta.meta_adapt(task, episodes=4, seed=7)
     a2 = meta.meta_adapt(task, episodes=4, seed=7)
-    assert np.array_equal(a1.actor.get_flat(), a2.actor.get_flat())
-    assert np.array_equal(meta.agent.actor.get_flat(), before)
-    assert not np.array_equal(a1.actor.get_flat(), before)
+    assert np.array_equal(a1.actor.flat.copy(), a2.actor.flat.copy())
+    assert np.array_equal(meta.agent.actor.flat.copy(), before)
+    assert not np.array_equal(a1.actor.flat.copy(), before)
 
 
 def test_meta_train_progresses_and_records_history():
@@ -165,8 +165,8 @@ def test_meta_checkpoint_round_trip(tmp_path):
     loaded = MetaSac.load(path, cfg)
     assert loaded.iteration == meta.iteration
     assert loaded.task_seeds == meta.task_seeds
-    assert np.array_equal(loaded.agent.actor.get_flat(),
-                          meta.agent.actor.get_flat())
+    assert np.array_equal(loaded.agent.actor.flat.copy(),
+                          meta.agent.actor.flat.copy())
 
 
 def test_meta_checkpoint_resumes_both_generators(tmp_path):

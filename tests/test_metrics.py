@@ -131,8 +131,8 @@ def test_energy_efficiency():
     order = order_users(H, W, SEL)
     rr = per_user_rate(H, W, SEL, np.array([0.5, 0.5]), order)
     p = total_power(W, SEL, 0.25, 10.0, 1.2, 2.0, 3.0)
-    assert energy_efficiency(rr, p) == pytest.approx(rr.sum_rate / p.total,
-                                                     rel=1e-12)
+    assert energy_efficiency(rr.sum_rate, p.total) == pytest.approx(
+        rr.sum_rate / p.total, rel=1e-12)
 
 
 def _feasibility_setup():

@@ -26,14 +26,14 @@ def test_mlp_param_gradients_match_finite_differences():
 
     def loss_at(flat):
         probe = net.clone()
-        probe.set_flat(flat)
+        probe.flat[:] = flat
         out, _ = probe.forward(x)
         return float(np.sum((out - t) ** 2))
 
     out, cache = net.forward(x)
     grads, _ = net.backward(cache, 2.0 * (out - t))
     flat_analytic = np.concatenate([g.ravel() for g in grads])
-    flat_numeric = numeric_grad(loss_at, net.get_flat())
+    flat_numeric = numeric_grad(loss_at, net.flat.copy())
     err = np.max(np.abs(flat_analytic - flat_numeric)
                  / (np.abs(flat_numeric) + 1e-8))
     assert err < 1e-5
@@ -118,13 +118,13 @@ def test_mlp_input_grad_matches_finite_differences():
 def test_mlp_flat_round_trip_and_clone_independence():
     rng = np.random.default_rng(2)
     net = Mlp([2, 4, 1], rng)
-    flat = net.get_flat()
+    flat = net.flat.copy()
     other = net.clone()
     other.weights[0][0, 0] += 1.0
-    assert np.array_equal(net.get_flat(), flat)
+    assert np.array_equal(net.flat.copy(), flat)
     net2 = Mlp([2, 4, 1], np.random.default_rng(99))
-    net2.set_flat(flat)
-    assert np.array_equal(net2.get_flat(), flat)
+    net2.flat[:] = flat
+    assert np.array_equal(net2.flat.copy(), flat)
 
 
 def test_adam_matches_reference_implementation():
@@ -177,10 +177,10 @@ def test_soft_update_convex_combination():
     rng = np.random.default_rng(4)
     target = Mlp([2, 3, 1], rng)
     online = Mlp([2, 3, 1], rng)
-    before = target.get_flat()
-    goal = online.get_flat()
+    before = target.flat.copy()
+    goal = online.flat.copy()
     soft_update(target, online, 0.25)
-    assert np.allclose(target.get_flat(), 0.75 * before + 0.25 * goal)
+    assert np.allclose(target.flat.copy(), 0.75 * before + 0.25 * goal)
 
 
 def test_squash_log_std_range_and_gradient():

@@ -34,11 +34,11 @@ def critic_fd(agent, batch, xi, which, eps=1e-6):
 
     def loss_at(flat):
         probe = net.clone()
-        probe.set_flat(flat)
+        probe.flat[:] = flat
         pred = probe(qin)[:, 0]
         return float(np.mean((pred - y) ** 2))
 
-    flat = net.get_flat()
+    flat = net.flat.copy()
     g = np.zeros_like(flat)
     for i in range(flat.size):
         fp, fm = flat.copy(), flat.copy()
@@ -54,13 +54,13 @@ def actor_fd(agent, batch, xi, eps=1e-6):
 
     def loss_at(flat):
         probe = agent.actor.clone()
-        probe.set_flat(flat)
+        probe.flat[:] = flat
         fw = gaussian_policy_forward(probe, obs, xi)
         qin = np.concatenate([obs, fw["action"]], axis=1)
         q_min = np.minimum(agent.q1(qin)[:, 0], agent.q2(qin)[:, 0])
         return float(np.mean(cfg.entropy_weight * fw["logp"] - q_min))
 
-    flat = agent.actor.get_flat()
+    flat = agent.actor.flat.copy()
     g = np.zeros_like(flat)
     for i in range(flat.size):
         fp, fm = flat.copy(), flat.copy()
@@ -296,26 +296,26 @@ def test_update_changes_parameters_and_targets_lag():
     agent, _ = small_agent(seed=3)
     rng = np.random.default_rng(12)
     batch = make_batch(rng, 16, 5, 2)
-    before_actor = agent.actor.get_flat().copy()
-    before_target = agent.tq1.get_flat().copy()
+    before_actor = agent.actor.flat.copy()
+    before_target = agent.tq1.flat.copy()
     agent.update(batch)
-    assert not np.array_equal(agent.actor.get_flat(), before_actor)
+    assert not np.array_equal(agent.actor.flat.copy(), before_actor)
     # Polyak-averaged target moves, but only slightly
-    moved = np.linalg.norm(agent.tq1.get_flat() - before_target)
-    online = np.linalg.norm(agent.q1.get_flat() - before_target)
+    moved = np.linalg.norm(agent.tq1.flat.copy() - before_target)
+    online = np.linalg.norm(agent.q1.flat.copy() - before_target)
     assert 0.0 < moved < online
 
 
 def test_clone_is_deep_and_rng_synchronized():
     agent, _ = small_agent(seed=4)
     other = agent.clone()
-    assert np.array_equal(agent.actor.get_flat(), other.actor.get_flat())
+    assert np.array_equal(agent.actor.flat.copy(), other.actor.flat.copy())
     # same rng state: identical next stochastic action
     obs = np.zeros(5)
     assert np.array_equal(agent.act(obs), other.act(obs))
     other.actor.weights[0][0, 0] += 1.0
-    assert not np.array_equal(agent.actor.get_flat(),
-                              other.actor.get_flat())
+    assert not np.array_equal(agent.actor.flat.copy(),
+                              other.actor.flat.copy())
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -326,8 +326,8 @@ def test_checkpoint_round_trip(tmp_path):
     agent.save(path)
     loaded = SacAgent.load(path, cfg)
     for name in ("actor", "q1", "q2", "tq1", "tq2"):
-        assert np.array_equal(getattr(agent, name).get_flat(),
-                              getattr(loaded, name).get_flat())
+        assert np.array_equal(getattr(agent, name).flat.copy(),
+                              getattr(loaded, name).flat.copy())
     assert loaded.adam_actor.t == agent.adam_actor.t
     for m1, m2 in zip(agent.adam_q1.m, loaded.adam_q1.m):
         assert np.array_equal(m1, m2)
@@ -381,8 +381,8 @@ def test_clone_builds_fresh_optimizers():
     agent.update(make_batch(np.random.default_rng(2), 16, 5, 2))
     other = agent.clone(lr=0.25)
     for name in ("actor", "q1", "q2", "tq1", "tq2"):
-        assert np.array_equal(getattr(agent, name).get_flat(),
-                              getattr(other, name).get_flat())
+        assert np.array_equal(getattr(agent, name).flat.copy(),
+                              getattr(other, name).flat.copy())
     for name in ("adam_actor", "adam_q1", "adam_q2"):
         mine, fresh = getattr(agent, name), getattr(other, name)
         assert mine.t == 1 and np.any(mine.m != 0.0)
@@ -423,14 +423,14 @@ def test_train_sac_runs_and_is_deterministic(make_env):
     a1, _, r1 = train_sac(env1, cfg, seed=7, episodes=3)
     a2, _, r2 = train_sac(env2, cfg, seed=7, episodes=3)
     assert r1 == r2
-    assert np.array_equal(a1.actor.get_flat(), a2.actor.get_flat())
+    assert np.array_equal(a1.actor.flat.copy(), a2.actor.flat.copy())
     assert len(r1) == 3
 
 
 def test_apply_grads_refuses_non_finite_gradients_untouched():
     agent, _ = small_agent(seed=6)
     nets = ("actor", "q1", "q2", "tq1", "tq2")
-    before = {n: getattr(agent, n).get_flat().copy() for n in nets}
+    before = {n: getattr(agent, n).flat.copy() for n in nets}
     grads = [np.zeros_like(agent.actor.flat), np.zeros_like(agent.q1.flat),
              np.zeros_like(agent.q2.flat)]
     for i, name in enumerate(("actor", "q1", "q2")):
@@ -442,7 +442,7 @@ def test_apply_grads_refuses_non_finite_gradients_untouched():
                                      f"{name}"):
                 agent.apply_grads(*g)
     for n in nets:
-        assert np.array_equal(getattr(agent, n).get_flat(), before[n])
+        assert np.array_equal(getattr(agent, n).flat.copy(), before[n])
     assert agent.adam_actor.t == agent.adam_q1.t == agent.adam_q2.t == 0
 
 
