@@ -204,7 +204,7 @@ def cascade_beamformer(h_est: np.ndarray, selection: LedSelection,
     Columns are proportional to the (non-negative) estimated channel over
     active LEDs with cascade norms; the smallest common multiple meeting
     the rate floor for every user on estimated channels comes in closed
-    form (module docstring). The floor is designed with a relative
+    form from least_floor_scale. The floor is designed with a relative
     HEADROOM so the point survives bounded channel-estimate error when
     judged on true channels. The scale is capped so no LED row exceeds
     the dynamic-range bound.
@@ -228,22 +228,36 @@ def cascade_beamformer(h_est: np.ndarray, selection: LedSelection,
     if t_cap <= 1.0:
         return w * t_cap
 
-    gamma = 2.0 ** (r_target * (1.0 - 1e-9)) - 1.0
+    t = least_floor_scale(h_est, w, selection, eff_gain > 0.0,
+                          r_target * (1.0 - 1e-9), noise_var)
+    if t > t_cap:
+        return w * t_cap
+    return w * min(t * (1.0 + 1e-9), t_cap)
+
+
+def least_floor_scale(h_est: np.ndarray, w: np.ndarray,
+                      selection: LedSelection, served: np.ndarray,
+                      floor: float, noise_var: float) -> float:
+    """Smallest common scale t at which every served user's rate on h_est
+    under w * t reaches floor, in the decoding order at scale 1 (module
+    docstring); inf when no scale does. w must vanish off the active rows.
+    """
+    gamma = 2.0 ** floor - 1.0
+    need = gamma * noise_var
     ks = order_users(h_est, w, selection).tolist()
     # w is zero off the active rows, so these are the masked cross gains
     cross = ((h_est.T @ w) ** 2).tolist()
     t2 = 0.0
     for pos, k in enumerate(ks):
-        if eff_gain[k] > 0.0:
+        if served[k]:
+            # the floor holds from t^2 margin >= need on
             margin = cross[k][k] - gamma * sum(cross[k][i]
                                                for i in ks[pos + 1:])
-            if margin <= 0.0:
-                return w * t_cap
-            t2 = max(t2, gamma * noise_var / margin)
-    t = math.sqrt(t2)
-    if t > t_cap:
-        return w * t_cap
-    return w * min(t * (1.0 + 1e-9), t_cap)
+            if margin > 0.0:
+                t2 = max(t2, need / margin)
+            elif margin < 0.0 or need > 0.0:
+                return math.inf
+    return math.sqrt(t2)
 
 
 class GreedyPolicy:

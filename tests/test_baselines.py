@@ -7,7 +7,7 @@ from uavlc import (GreedyPolicy, LedSelection, RandomPolicy, SystemConfig,
                    VlcUavEnv, rollout, sample_task)
 import uavlc.baselines as baselines
 from uavlc.baselines import (cascade_beamformer, greedy_exhaustive_slot,
-                             noma_cascade_amplitudes)
+                             least_floor_scale, noma_cascade_amplitudes)
 from uavlc.metrics import order_users, per_user_rate
 
 from conftest import small_config
@@ -135,13 +135,11 @@ def cascade_reachable(gains, gamma):
                for a in range(g.size - 1))
 
 
-@pytest.mark.parametrize("k_users", range(1, 13))
-def test_cascade_amplitudes_are_the_least_fixed_point(k_users):
-    """Reachable floors give the least design meeting both requirements at
-    every position; unreachable ones, and ones whose design passes the
-    divergence cap, give the reference sweep's capped iterate."""
+def random_cascades(k_users):
+    """150 cascades, each with its reference sweep and whether that sweep
+    runs in the closed form too: an unreachable floor, or a design past
+    the divergence cap."""
     rng = np.random.default_rng(200 + k_users)
-    settled = truncated = unreachable = 0
     for trial in range(150):
         gains = rng.random(k_users) * 10.0 ** rng.uniform(-6.0, 2.0)
         if trial % 3 == 0:
@@ -152,14 +150,36 @@ def test_cascade_amplitudes_are_the_least_fixed_point(k_users):
         r_min = rng.uniform(0.01, 3.0)
         noise = 10.0 ** rng.uniform(-22.0, 0.0)
         gamma = 2.0 ** r_min - 1.0
-        got = noma_cascade_amplitudes(gains, r_min, noise)
         want = reference_noma_cascade_amplitudes(gains, r_min, noise)
+        swept = (not cascade_reachable(gains, gamma)
+                 or np.max(want ** 2, initial=0.0) > gamma * noise * 1e12)
+        yield gains, r_min, noise, want, swept
+
+
+@pytest.mark.parametrize("k_users", range(1, 13))
+def test_cascade_amplitudes_match_reference_bitwise(k_users):
+    """Unreachable floors, and designs that pass the divergence cap, give
+    the reference sweep's capped iterate; zero-gain users get zero."""
+    swept = 0
+    for gains, r_min, noise, want, sweep in random_cascades(k_users):
+        got = noma_cascade_amplitudes(gains, r_min, noise)
         assert np.all(got[gains == 0.0] == 0.0)
-        if (not cascade_reachable(gains, gamma)
-                or np.max(want ** 2, initial=0.0) > gamma * noise * 1e12):
+        if sweep:
             assert_matches_reference(got, want, k_users)
-            unreachable += 1
+            swept += 1
+    assert swept > 0 or k_users == 1
+
+
+@pytest.mark.parametrize("k_users", range(1, 13))
+def test_cascade_amplitudes_are_the_least_fixed_point(k_users):
+    """Reachable floors give the least design meeting both requirements at
+    every position."""
+    settled = truncated = 0
+    for gains, r_min, noise, want, sweep in random_cascades(k_users):
+        if sweep:
             continue
+        gamma = 2.0 ** r_min - 1.0
+        got = noma_cascade_amplitudes(gains, r_min, noise)
         e2 = got ** 2
         order, sinr, ordering = cascade_requirements(e2, gains, gamma, noise)
         np.testing.assert_allclose(e2[order], np.maximum(sinr, ordering),
@@ -173,7 +193,7 @@ def test_cascade_amplitudes_are_the_least_fixed_point(k_users):
             settled += 1
         else:
             truncated += 1
-    assert settled > 0 and (unreachable > 0 or k_users == 1)
+    assert settled > 0
 
 
 def test_cascade_amplitudes_depend_only_on_gain_ratios():
@@ -207,29 +227,63 @@ def random_beam_slots(seed, k_users, trials):
         yield h_est, sel, bound, r_min, noise
 
 
-@pytest.mark.parametrize("k_users", range(1, 13))
-def test_cascade_beamformer_scale_matches_reference_bisection(
-        k_users, monkeypatch):
-    """On the reference's beam shape, the closed-form scale agrees with the
-    reference bisection carried to float resolution: a 60-step bracket
-    that starts at t_cap ~ 1e7 is still ~1e-11 wide."""
+def beams_on_reference_shape(k_users, monkeypatch):
+    """Both beamformers on the reference's beam shape (its cascade
+    monkeypatched in), with whether the closed form solved a scale below
+    the cap; the reference bisection is carried to float resolution."""
     monkeypatch.setattr(baselines, "noma_cascade_amplitudes",
                         reference_noma_cascade_amplitudes)
+    scales = []
+
+    def recording(h_est, w, *args):
+        t = least_floor_scale(h_est, w, *args)
+        scales.append((t, w))
+        return t
+
+    monkeypatch.setattr(baselines, "least_floor_scale", recording)
     for h_est, sel, bound, r_min, noise in random_beam_slots(
             300 + k_users, k_users, 40):
+        scales.clear()
         got = cascade_beamformer(h_est, sel, bound, r_min, noise)
         want = reference_cascade_beamformer(h_est, sel, bound, r_min, noise,
                                             bisect_iters=200)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        solved = any(t * (1.0 + 1e-9) < bound / w.sum(axis=1).max()
+                     for t, w in scales)
+        yield got, want, solved
+
+
+@pytest.mark.parametrize("k_users", range(1, 13))
+def test_cascade_beamformer_matches_reference_bitwise(k_users, monkeypatch):
+    """Where the closed form solves no scale below the cap (no user has a
+    channel, the design alone passes the bound, or no scale within it
+    meets the floor), the design is the reference's."""
+    exits = 0
+    for got, want, solved in beams_on_reference_shape(k_users, monkeypatch):
+        if not solved:
+            assert_matches_reference(got, want, k_users)
+            exits += 1
+    assert exits > 0
+
+
+@pytest.mark.parametrize("k_users", range(1, 13))
+def test_cascade_beamformer_scale_matches_reference_bisection(
+        k_users, monkeypatch):
+    """Where the closed form solves a scale, it agrees with the reference
+    bisection carried to float resolution: a 60-step bracket that starts
+    at t_cap ~ 1e7 is still ~1e-11 wide."""
+    solves = 0
+    for got, want, solved in beams_on_reference_shape(k_users, monkeypatch):
+        if solved:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+            solves += 1
+    assert solves > 0
 
 
 def exact_floor_test(h_est, w, sel, r_min, noise_var):
     """The reference bisection's rate test on the served users."""
-    k_users = h_est.shape[1]
     served = h_est[sel.a.astype(bool)].sum(axis=0) > 0.0
-    rr = per_user_rate(h_est, w, sel, np.full(k_users, noise_var),
-                       order_users(h_est, w, sel))
-    return bool((rr.rates[served] >= r_min * 1.05 * (1.0 - 1e-9)).all())
+    return floor_test_at(h_est, w, sel, served, r_min * 1.05 * (1.0 - 1e-9),
+                         noise_var, 1.0)[0]
 
 
 @pytest.mark.parametrize("k_users", range(1, 13))
@@ -275,6 +329,166 @@ def test_cascade_beamformer_matches_reference_on_its_exits():
     rr = per_user_rate(h_tied, got, sel, np.full(2, 1e-20),
                        order_users(h_tied, got, sel))
     assert not np.all(rr.rates >= 2.0)
+
+
+def undecided(h_est, w, sel, served, floor, noise_var, t):
+    """Whether some served user's SINR at scale t, in the order at scale 1,
+    lies within 1e-13 (1 + gamma) of gamma: the float rate test resolves
+    log2(1 + SINR) only to about eps, and 2^floor - 1 carries the same."""
+    gamma = 2.0 ** floor - 1.0
+    cross = (h_est.T @ w) ** 2
+    ks = list(order_users(h_est, w, sel))
+    for pos, k in enumerate(ks):
+        if served[k]:
+            sinr = t * t * cross[k, k] / (t * t * cross[k, ks[pos + 1:]].sum()
+                                          + noise_var)
+            if abs(sinr - gamma) <= 1e-13 * (1.0 + gamma):
+                return True
+    return False
+
+
+def floor_test_at(h_est, w, sel, served, floor, noise_var, t):
+    """The exact floor test at scale t, and the order it used."""
+    wt = w * t
+    order = order_users(h_est, wt, sel)
+    rr = per_user_rate(h_est, wt, sel, np.full(h_est.shape[1], noise_var),
+                       order)
+    return bool((rr.rates[served] >= floor).all()), order
+
+
+def threshold_grid(t_star, t_cap):
+    """Scales around t_star: relative steps down to 1e-16, powers of 2^.25."""
+    rel = [s * 10.0 ** -j for j in range(1, 17) for s in (-4, -1, 1, 4)]
+    far = [2.0 ** (k / 4) - 1.0 for k in range(-24, 25)]
+    return [t_star * (1.0 + r) for r in rel + far] + [t_cap]
+
+
+def check_screen(args, t_least, scales):
+    """At each scale where the exact test keeps the order at scale 1, its
+    verdict is t >= t_least, apart from scales undecided within its
+    rounding. Returns how many scales were settled, how many were left
+    undecided and how many were reordered."""
+    h_est, w, sel, served, floor, noise_var = args
+    order = order_users(h_est, w, sel)
+    settled = left = reordered = 0
+    for t in scales:
+        passes, exact_order = floor_test_at(*args, t)
+        if not np.array_equal(exact_order, order):
+            reordered += 1
+        elif undecided(*args, t):
+            left += 1
+        else:
+            assert passes == (t >= t_least), (t, t_least, passes)
+            settled += 1
+    return settled, left, reordered
+
+
+def bisection_scales(test, t_cap, iters=60):
+    """The scales the reference bisection probes with its floor test."""
+    visited = []
+
+    def probe(t):
+        visited.append(t)
+        return test(t)
+
+    lo, hi = 0.0, min(1.0 + 1e-9, t_cap)
+    if not probe(hi):
+        hi = t_cap
+        if not probe(hi):
+            return visited
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if probe(mid):
+            hi = mid
+        else:
+            lo = mid
+    return visited
+
+
+@pytest.mark.parametrize("k_users", range(1, 13))
+def test_floor_screen_agrees_with_the_exact_test_on_bisections(
+        k_users, monkeypatch):
+    """On cascade designs, least_floor_scale (the closed-form floor screen
+    that replaced the bisection) agrees with the exact test at every scale
+    the reference bisection probes and on a dense grid around the least
+    scale, and a common scale keeps the decoding order."""
+    built = []
+
+    def recording(*args):
+        t = least_floor_scale(*args)
+        built.append((args, t))
+        return t
+
+    monkeypatch.setattr(baselines, "least_floor_scale", recording)
+    rng = np.random.default_rng(400 + k_users)
+    settled = left = 0
+    for trial in range(30):
+        h_est, sel = random_slot(rng, k_users)
+        if trial % 3 == 0:
+            h_est[:, rng.integers(k_users)] = 0.0  # a user with no channel
+        bound = 10.0 ** rng.uniform(-3.0, 3.0)
+        r_min = 10.0 ** rng.uniform(-4.0, 0.3)
+        noise = 10.0 ** rng.uniform(-22.0, -14.0)
+        built.clear()
+        cascade_beamformer(h_est, sel, bound, r_min, noise)
+        for args, t_least in built:
+            t_cap = bound / args[1].sum(axis=1).max()
+            visited = bisection_scales(
+                lambda t: floor_test_at(*args, t)[0], t_cap)
+            t_star = t_least if t_least <= t_cap else t_cap
+            got = check_screen(args, t_least,
+                               visited + threshold_grid(t_star, t_cap))
+            assert got[2] == 0
+            settled += got[0]
+            left += got[1]
+    assert settled > 0 and left > 0
+
+
+@pytest.mark.parametrize("k_users", range(1, 13))
+def test_floor_screen_agrees_with_the_exact_test_on_any_beams(k_users):
+    """Arbitrary non-negative beams: zero-gain users, near-tied gains (a
+    common scale may reorder gains tied within rounding; cascade designs
+    keep gains apart) and small floors."""
+    rng = np.random.default_rng(500 + k_users)
+    settled = left = unreachable = 0
+    for trial in range(40):
+        h_est, sel = random_slot(rng, k_users)
+        w = (rng.random(h_est.shape) * 10.0 ** rng.uniform(-7.0, -3.0, k_users)
+             * sel.a[:, None])
+        if trial % 3 == 0:
+            w[:, rng.integers(k_users)] = 0.0  # a user with zero gain
+        tie = None
+        if trial % 2 and k_users > 1:
+            a, b = rng.choice(k_users, 2, replace=False)
+            amp = np.einsum("nk,nk->k", h_est, w)
+            if amp[a] > 0.0 and amp[b] > 0.0:
+                tie = 10.0 ** rng.uniform(-16.0, -9.0)
+                w[:, b] *= amp[a] / amp[b] * (1.0 + tie)
+        served = rng.random(k_users) < 0.8
+        noise = 10.0 ** rng.uniform(-22.0, -14.0)
+        # S_k and I_k along the order at t = 1; the SINR at scale t is
+        # t^2 S / (t^2 I + N), which tends to S / I
+        cross = (h_est.T @ w) ** 2
+        ks = list(order_users(h_est, w, sel))
+        users = [(cross[k, k], cross[k, ks[pos + 1:]].sum())
+                 for pos, k in enumerate(ks) if served[k]]
+        reach = min([s / i if i > 0.0 else np.inf for s, i in users
+                     if s > 0.0], default=np.inf)
+        # a floor down to 1e-4, within reach of every served user with a
+        # gain (a served zero-gain user makes it unreachable)
+        floor = min(10.0 ** rng.uniform(-4.0, 0.5),
+                    0.99 * float(np.log2(1.0 + reach)))
+        args = (h_est, w, sel, served, floor, noise)
+        t_least = least_floor_scale(*args)
+        unreachable += t_least == np.inf
+        t_star = t_least if 0.0 < t_least < np.inf else 1.0
+        t_cap = t_star * 10.0 ** rng.uniform(0.0, 2.0)
+        got = check_screen(args, t_least, threshold_grid(t_star, t_cap))
+        # only gains tied within rounding reorder under a common scale
+        assert got[2] == 0 or tie < 1e-12
+        settled += got[0]
+        left += got[1]
+    assert settled > 0 and left > 0 and unreachable > 0
 
 
 def test_greedy_sweep_keeps_the_reference_feasibility(monkeypatch):
