@@ -18,6 +18,7 @@ from .harness import (SCHEMES, SWEEP_VARS, ExperimentSpec, derive_seed,
                       evaluate, make_agent_policy, meta_train_for,
                       run_experiment)
 from .meta import MetaSac
+from .procs import worker_count
 from .sac import SacAgent, train_sac
 
 
@@ -45,6 +46,15 @@ def _load_cfg(args):
     if args.paper_literal:
         cfg = cfg.replace(reward_mode="paper", observe_pose=False)
     return cfg
+
+
+def _workers(args):
+    """`--workers`, refused below 1 before any work starts."""
+    try:
+        worker_count(args.workers, 0)
+    except ValueError as err:
+        raise UsageError(err) from err
+    return args.workers
 
 
 def _task_for(cfg, seed):
@@ -89,7 +99,7 @@ def cmd_meta_train(args):
     cfg = _load_cfg(args)
     meta, history = meta_train_for(cfg, args.seed,
                                    derive_seed("meta-tasks", args.seed),
-                                   args.iterations)
+                                   args.iterations, _workers(args))
     meta.save(args.out)
     print(f"meta-trained {args.iterations} iterations on "
           f"{cfg.meta_task_count} tasks; checkpoint -> {args.out}")
@@ -128,7 +138,7 @@ def cmd_sweep(args):
             **{budget: getattr(args, budget) for budget in BUDGETS})
     except ValueError as err:
         raise UsageError(err) from err
-    rows = run_experiment(spec, cfg, workers=args.workers)
+    rows = run_experiment(spec, cfg, workers=_workers(args))
     print(f"{len(rows)} rows -> {spec.out_path}")
 
 
@@ -205,6 +215,10 @@ def main(argv=None):
     p = sub.add_parser("meta-train", help="meta-training phase")
     _common(p)
     p.add_argument("--iterations", type=int, default=200)
+    p.add_argument("--workers", type=int, default=None,
+                   help="processes to run each iteration's tasks on "
+                        "(default: every available CPU); the checkpoint "
+                        "does not depend on it")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_meta_train)
 

@@ -13,7 +13,9 @@ meta-sac unit adapts a clone of its value's meta-trained state, which it
 never changes. So no unit reads anything another unit wrote, and it gives
 the same floats in whichever process it runs. `parallel_map` hands the
 results back in input order, and the parent alone writes the CSV, row by
-row in the serial order, as the results arrive.
+row in the serial order, as the results arrive. A meta-training run in
+this process forks workers for its own tasks (`MetaSac.meta_train`, same
+floats for any worker count); one run in a pool worker stays in it.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .config import SystemConfig
 from .env import Task, VlcUavEnv, rollout, sample_task
 from .meta import MetaSac
 from .metrics import energy_efficiency
+from .procs import fork_context, worker_count
 from .sac import SacAgent, train_sac
 
 SWEEP_VARS = {"K": "n_users", "P_max": "p_max", "R_min": "r_min",
@@ -93,19 +96,6 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "little") >> 1
 
 
-def worker_count(workers: int | None, n_units: int) -> int:
-    """Processes `parallel_map` runs `n_units` units on.
-
-    At most `workers` (None: no limit), the CPUs this process may run on
-    and the unit count; at least one.
-    """
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    return max(1, min(cpus if workers is None else workers, cpus, n_units))
-
-
 _unit_fn = None     # set only in a pool worker, by its initializer
 
 
@@ -122,26 +112,17 @@ def parallel_map(fn, units, workers: int | None = None):
     """Iterator over `fn(unit)` for each unit, in input order.
 
     Up to `worker_count(workers, len(units))` forked processes run the
-    units; results arrive as soon as they and every earlier one are done.
-    The workers inherit `fn` from the fork, so it need not be picklable;
-    the units and results are pickled. With one worker, or inside a pool
-    worker (which may not start children), it runs in this process. A
-    unit's exception is raised at its place in the iteration.
-
-    Workers are forked because spawn and forkserver re-import numpy and
-    uavlc, ~0.2 s per worker. A fork copies only the calling thread, and a
-    lock another thread holds stays held in the workers, so a caller that
-    runs threads of its own should pass `workers=1`.
+    units (see `procs.fork_context` for when this process runs them
+    instead); results arrive as soon as they and every earlier one are
+    done. The workers inherit `fn` from the fork, so it need not be
+    picklable; the units and results are pickled. A unit's exception is
+    raised at its place in the iteration.
     """
     units = list(units)
-    n = worker_count(workers, len(units))
-    if n > 1:
-        import multiprocessing     # ~17 ms; only sweeps that fork pay it
-        if (not multiprocessing.current_process().daemon
-                and "fork" in multiprocessing.get_all_start_methods()):
-            return _pool_map(multiprocessing.get_context("fork"), fn, units,
-                             n)
-    return map(fn, units)
+    ctx, n = fork_context(workers, len(units))
+    if ctx is None:
+        return map(fn, units)
+    return _pool_map(ctx, fn, units, n)
 
 
 def _pool_map(ctx, fn, units, n):
@@ -222,13 +203,16 @@ def run_scheme(scheme: str, cfg: SystemConfig, task: Task, seed: int,
 
 
 def meta_train_for(cfg: SystemConfig, seed: int, task_seed: int,
-                   iterations: int) -> tuple[MetaSac, list[dict]]:
+                   iterations: int,
+                   workers: int | None = None) -> tuple[MetaSac, list[dict]]:
     """A fresh `MetaSac` seeded `seed`, meta-trained for `iterations` on
-    tasks drawn by a generator seeded `task_seed`; (meta, history)."""
+    tasks drawn by a generator seeded `task_seed`, on up to `workers`
+    processes; (meta, history)."""
     probe = VlcUavEnv(cfg, sample_task(cfg, np.random.default_rng(0)))
     meta = MetaSac(cfg, probe.obs_dim, probe.action_dim, seed=seed)
     task_rng = np.random.default_rng(task_seed)
-    history = meta.meta_train(lambda: sample_task(cfg, task_rng), iterations)
+    history = meta.meta_train(lambda: sample_task(cfg, task_rng), iterations,
+                              workers)
     return meta, history
 
 
@@ -306,7 +290,7 @@ def run_experiment(spec: ExperimentSpec, cfg: SystemConfig,
                                 spec.sweep_values[i])
             return meta_train_for(cfgs[i], derive_seed(point, "meta-train"),
                                   derive_seed(point, "meta-tasks"),
-                                  spec.meta_iterations)[0]
+                                  spec.meta_iterations, workers)[0]
 
         metas = dict(zip(meta_at, parallel_map(train_meta, meta_at, workers)))
         results = parallel_map(

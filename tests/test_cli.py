@@ -215,6 +215,42 @@ def test_meta_train_prints_and_saves_what_its_own_recipe_did(cfg_path,
     assert out.read_bytes() == ref.read_bytes()
 
 
+def test_meta_train_checkpoint_does_not_depend_on_workers(cfg_path,
+                                                         tmp_path):
+    arrays = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"meta{workers}.npz"
+        main(["meta-train", "--config", cfg_path, "--seed", "3",
+              "--iterations", "2", "--workers", workers, "--out", str(out)])
+        with np.load(out) as data:
+            arrays.append(dict(data))
+    assert arrays[0].keys() == arrays[1].keys()
+    for key in arrays[0]:
+        assert np.array_equal(arrays[0][key], arrays[1][key]), key
+
+
+@pytest.mark.parametrize("command", [
+    ["meta-train", "--iterations", "1"],
+    ["sweep", "--var", "K", "--values", "1", "--seeds", "1", "--scheme",
+     "random"]])
+def test_workers_below_one_is_a_one_line_usage_error(cfg_path, tmp_path,
+                                                     capsys, monkeypatch,
+                                                     command):
+    def step(env, raw):
+        raise AssertionError("stepped before refusing --workers")
+
+    monkeypatch.setattr(VlcUavEnv, "step", step)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main(command + ["--config", cfg_path, "--workers", "0",
+                        "--out", str(out)])
+    assert exit_info.value.code == 2
+    [err] = capsys.readouterr().err.splitlines()
+    assert err == (f"uavlc {command[0]}: error: workers must be at least 1, "
+                   f"got 0")
+    assert not out.exists()
+
+
 def test_refused_sweep_spec_is_a_one_line_usage_error(cfg_path, tmp_path,
                                                       capsys):
     out = tmp_path / "sweep.csv"

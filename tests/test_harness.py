@@ -246,6 +246,18 @@ def test_cut_short_sweep_resumes_to_the_same_bytes(tmp_path, monkeypatch):
     assert scheme_calls == [] and meta_calls == []
 
 
+def test_run_experiment_with_one_worker_starts_no_process(tmp_path,
+                                                         monkeypatch):
+    def fork():
+        raise AssertionError("forked with workers=1")
+
+    monkeypatch.setattr(os, "fork", fork)
+    spec = resume_spec(tmp_path / "rows.csv")
+    spec.sweep_values = [0.1]   # one meta-training, run in this process
+    rows = run_experiment(spec, small_config(), workers=1)
+    assert len(rows) == 2 * 3
+
+
 def test_run_experiment_refuses_no_workers_before_writing(tmp_path):
     path = tmp_path / "rows.csv"
     with pytest.raises(ValueError, match="at least 1"):

@@ -2,10 +2,13 @@
 
 `train_sac`, `MetaSac.meta_adapt` and `MetaSac.meta_train` once each wrote
 out their own reset/step/store loop; they now run `env.rollout` (the first
-two through `sac.learn_online`). The earlier loops are kept below verbatim
-(renamed `reference_*`, methods as functions of the `MetaSac`), and every
-test asserts exact equality with them: returns, network parameters, replay
+two through `sac.learn_online`). The earlier loops are kept below (renamed
+`reference_*`, methods as functions of the `MetaSac`), and every test
+asserts exact equality with them: returns, network parameters, replay
 buffer rows and the RNG states, on a warm-up that spans several episodes.
+The first two are verbatim. `reference_meta_train` keeps its explicit step
+loop but draws from the keyed per-(iteration, task) streams `meta_train`
+took up when its tasks began to run in parallel.
 """
 
 import numpy as np
@@ -76,9 +79,13 @@ def reference_meta_adapt(self, task, episodes: int, seed: int = 0):
     return agent
 
 
-def reference_meta_train(self, task_sampler, iterations: int,
-                         checkpoint_path=None):
-    """Alternate per-task rollouts, inner adaptation, one outer step."""
+def reference_meta_train(self, task_sampler, iterations: int):
+    """Alternate per-task rollouts, inner adaptation, one outer step.
+
+    Written out step by step on the keyed streams: unit (i, k), task k of
+    global iteration i, draws from [seed, 7, i, k] and its agent from
+    [seed, 9, i, k]; the query gradients are summed in task order.
+    """
     cfg = self.cfg
     tasks = [task_sampler() for _ in range(cfg.meta_task_count)]
     self.task_seeds = [t.seed for t in tasks]
@@ -88,34 +95,48 @@ def reference_meta_train(self, task_sampler, iterations: int,
                for _ in tasks]
     history = []
     for it in range(iterations):
-        adapted_agents = []
-        query_batches = []
-        for env, buf in zip(envs, buffers):
+        sums = None
+        losses = {"actor": 0.0, "critic1": 0.0, "critic2": 0.0}
+        for k, (env, buf) in enumerate(zip(envs, buffers)):
+            rng = np.random.default_rng([self.seed, 7, self.iteration, k])
+            adapted = self.agent.clone(lr=cfg.lr_inner)
+            adapted.rng = np.random.default_rng(
+                [self.seed, 9, self.iteration, k])
             for _ in range(cfg.episodes_per_task):
-                obs = env.reset(seed=int(self.rng.integers(2**31)))
+                obs = env.reset(seed=int(rng.integers(2**31)))
                 while not env.done:
                     if buf.size < cfg.warmup_steps:
-                        raw = self.rng.uniform(-1.0, 1.0, env.action_dim)
+                        raw = rng.uniform(-1.0, 1.0, env.action_dim)
                     else:
-                        raw = self.agent.act(obs)
+                        raw = adapted.act(obs)
                     tr = env.step(raw)
                     buf.add(tr.obs, tr.raw_action, tr.reward,
                             tr.next_obs, tr.done)
                     obs = tr.next_obs
             support_idx, query_idx = buf.split_indices(
-                cfg.support_fraction, self.rng)
-            adapted = self.inner_adapt(buf, support_idx, cfg.inner_steps)
-            q_idx = self.rng.choice(
-                query_idx, size=cfg.batch_size,
-                replace=len(query_idx) < cfg.batch_size)
-            adapted_agents.append(adapted)
-            query_batches.append(buf.get(q_idx))
-        losses = self.outer_update(zip(adapted_agents, query_batches))
+                cfg.support_fraction, rng)
+            for _ in range(cfg.inner_steps):
+                s_idx = rng.choice(support_idx, size=cfg.batch_size,
+                                   replace=len(support_idx) < cfg.batch_size)
+                adapted.update(buf.get(s_idx))
+            q_idx = rng.choice(query_idx, size=cfg.batch_size,
+                               replace=len(query_idx) < cfg.batch_size)
+            batch = buf.get(q_idx)
+            (g1, l1), (g2, l2) = adapted.critic_grads(batch)
+            ga, la = adapted.actor_grads(batch)
+            if sums is None:
+                sums = [ga, g1, g2]
+            else:
+                sums[0] += ga
+                sums[1] += g1
+                sums[2] += g2
+            losses["actor"] += la
+            losses["critic1"] += l1
+            losses["critic2"] += l2
+        self.agent.apply_grads(*sums)
         losses["iteration"] = it
         history.append(losses)
         self.iteration += 1
-    if checkpoint_path is not None:
-        self.save(checkpoint_path)
     return history
 
 
@@ -192,18 +213,20 @@ def test_learn_online_without_warmup_matches_reference_bitwise():
 
 
 def test_meta_train_matches_reference_bitwise():
-    cfg = learn_config(meta_task_count=2, episodes_per_task=2)
+    # three tasks: with two workers, one owns two of them
+    cfg = learn_config(meta_task_count=3, episodes_per_task=2)
     probe = make_env(cfg)
-    metas = [MetaSac(cfg, probe.obs_dim, probe.action_dim, seed=5)
-             for _ in range(2)]
-    task_rngs = [np.random.default_rng(6) for _ in range(2)]
-    history = metas[0].meta_train(
-        lambda: sample_task(cfg, task_rngs[0]), iterations=3)
+    ref = MetaSac(cfg, probe.obs_dim, probe.action_dim, seed=5)
     ref_history = reference_meta_train(
-        metas[1], lambda: sample_task(cfg, task_rngs[1]), iterations=3)
-    assert history == ref_history
-    assert metas[0].task_seeds == metas[1].task_seeds
-    assert metas[0].iteration == metas[1].iteration == 3
-    assert (metas[0].rng.bit_generator.state
-            == metas[1].rng.bit_generator.state)
-    assert_same_agent(metas[0].agent, metas[1].agent)
+        ref, lambda rng=np.random.default_rng(6): sample_task(cfg, rng),
+        iterations=3)
+    assert ref.agent.adam_actor.t == 3    # one outer step per iteration
+    for workers in (1, 2):
+        meta = MetaSac(cfg, probe.obs_dim, probe.action_dim, seed=5)
+        task_rng = np.random.default_rng(6)
+        history = meta.meta_train(lambda: sample_task(cfg, task_rng),
+                                  iterations=3, workers=workers)
+        assert history == ref_history
+        assert meta.task_seeds == ref.task_seeds
+        assert meta.iteration == ref.iteration == 3
+        assert_same_agent(meta.agent, ref.agent)

@@ -1,18 +1,23 @@
 """Meta-learning layer: inner/outer loop invariants and equivalences."""
 
+import multiprocessing
+import os
 import weakref
 
 import numpy as np
 import pytest
 
 from uavlc import MetaSac, ReplayBuffer, VlcUavEnv, sample_task
+from uavlc.harness import parallel_map, worker_count
+from uavlc.meta import query_grads
+from uavlc.sac import NETS
 
 from conftest import small_config
 
 
 def meta_setup(seed=3, **overrides):
-    cfg = small_config(meta_task_count=2, episodes_per_task=1,
-                       inner_steps=1, **overrides)
+    cfg = small_config(**{"meta_task_count": 2, "episodes_per_task": 1,
+                          "inner_steps": 1, **overrides})
     probe = VlcUavEnv(cfg, sample_task(cfg, np.random.default_rng(0)))
     return cfg, probe, MetaSac(cfg, probe.obs_dim, probe.action_dim,
                                seed=seed)
@@ -37,7 +42,9 @@ def test_inner_adapt_never_mutates_global_parameters():
     before = [n.flat.copy() for n in
               (meta.agent.actor, meta.agent.q1, meta.agent.q2,
                meta.agent.tq1, meta.agent.tq2)]
-    adapted = meta.inner_adapt(buf, np.arange(len(buf)), steps=3)
+    adapted = meta.inner_adapt(meta.agent.clone(lr=cfg.lr_inner), buf,
+                               np.arange(len(buf)), 3,
+                               np.random.default_rng(0))
     after = [n.flat.copy() for n in
              (meta.agent.actor, meta.agent.q1, meta.agent.q2,
               meta.agent.tq1, meta.agent.tq2)]
@@ -55,8 +62,7 @@ def test_outer_update_degenerates_to_plain_sac_step():
     plain = meta.agent.clone()
     buf = filled_buffer(probe, 40, seed=1)
     batch = buf.get(np.arange(cfg.batch_size))
-    adapted = meta.inner_adapt(buf, np.arange(len(buf)), steps=0)
-    meta.outer_update([(adapted, batch)])
+    meta.outer_update([query_grads(meta.agent.clone(), batch)])
     plain.update(batch)
     for name in ("actor", "q1", "q2", "tq1", "tq2"):
         assert np.array_equal(getattr(meta.agent, name).flat.copy(),
@@ -75,10 +81,9 @@ def test_outer_update_refuses_a_non_finite_query_loss():
     buf = filled_buffer(probe, 40, seed=2)
     batch = buf.get(np.arange(cfg.batch_size))
     batch["rew"][0] = np.inf
-    adapted = meta.inner_adapt(buf, np.arange(len(buf)), steps=0)
     before = meta.agent.q1.flat.copy()
     with pytest.raises(ValueError, match="network q1"):
-        meta.outer_update([(adapted, batch)])
+        meta.outer_update([query_grads(meta.agent.clone(), batch)])
     assert np.array_equal(meta.agent.q1.flat.copy(), before)
 
 
@@ -151,7 +156,8 @@ def test_meta_train_holds_one_adapted_agent_at_a_time(monkeypatch):
 
     monkeypatch.setattr(MetaSac, "inner_adapt", inner_adapt)
     rng = np.random.default_rng(6)
-    meta.meta_train(lambda: sample_task(cfg, rng), iterations=2)
+    # the patch and the weakrefs live in this process
+    meta.meta_train(lambda: sample_task(cfg, rng), iterations=2, workers=1)
     assert len(refs) == 2 * cfg.meta_task_count
     assert [r for r in refs if r() is not None] == []
 
@@ -170,13 +176,19 @@ def test_meta_checkpoint_round_trip(tmp_path):
 
 
 def test_meta_checkpoint_resumes_both_generators(tmp_path):
+    # the agent's generator is saved; the units' keyed streams follow from
+    # the saved seed and iteration
     cfg, probe, meta = meta_setup(warmup_steps=5)
     rng = np.random.default_rng(6)
     meta.meta_train(lambda: sample_task(cfg, rng), iterations=1)
     path = str(tmp_path / "meta.npz")
     meta.save(path)
     loaded = MetaSac.load(path, cfg)
-    assert loaded.rng.integers(2 ** 31) == meta.rng.integers(2 ** 31)
+    rngs = [np.random.default_rng(8) for _ in range(2)]
+    histories = [m.meta_train(lambda r=r: sample_task(cfg, r), iterations=1)
+                 for m, r in zip((meta, loaded), rngs)]
+    assert histories[0] == histories[1]
+    assert_same_meta(loaded, meta)
     obs = np.zeros(probe.obs_dim)
     assert np.array_equal(loaded.agent.act(obs), meta.agent.act(obs))
 
@@ -186,7 +198,7 @@ def test_meta_checkpoint_refuses_a_plain_agent_checkpoint(tmp_path):
     path = str(tmp_path / "agent.npz")
     meta.agent.save(path)
     with pytest.raises(ValueError, match=(
-            "holds no meta-learner state .no task_seeds, iteration, rng.")):
+            "holds no meta-learner state .no seed, task_seeds, iteration.")):
         MetaSac.load(path, cfg)
 
 
@@ -196,3 +208,74 @@ def test_meta_checkpoint_refuses_another_config(tmp_path):
     meta.save(path)
     with pytest.raises(ValueError, match="config_hash"):
         MetaSac.load(path, cfg.replace(gamma=0.5))
+
+
+# ---------------------------------------------------------------------------
+# worker counts and child processes
+# ---------------------------------------------------------------------------
+
+def assert_same_meta(a, b):
+    for name in NETS:
+        assert np.array_equal(getattr(a.agent, name).flat,
+                              getattr(b.agent, name).flat), name
+    for name in ("adam_actor", "adam_q1", "adam_q2"):
+        adam_a, adam_b = getattr(a.agent, name), getattr(b.agent, name)
+        assert adam_a.t == adam_b.t
+        assert np.array_equal(adam_a.m, adam_b.m)
+        assert np.array_equal(adam_a.v, adam_b.v)
+    assert a.agent.rng.bit_generator.state == b.agent.rng.bit_generator.state
+    assert (a.seed, a.task_seeds, a.iteration) == (b.seed, b.task_seeds,
+                                                   b.iteration)
+
+
+def trained(workers, iterations=(2, 1)):
+    """A meta-learner after one `meta_train` call per entry of
+    `iterations`, and the histories; three tasks, so two workers own
+    unequal shares."""
+    cfg, _, meta = meta_setup(warmup_steps=5, meta_task_count=3)
+    rng = np.random.default_rng(6)
+    history = [meta.meta_train(lambda: sample_task(cfg, rng), n,
+                               workers=workers)
+               for n in iterations]
+    return meta, history
+
+
+def test_meta_train_does_not_depend_on_workers():
+    one, history_one = trained(workers=1)
+    two, history_two = trained(workers=2)
+    assert history_one == history_two
+    assert_same_meta(one, two)
+    assert one.iteration == 3
+
+
+def test_meta_train_leaves_no_child_process():
+    trained(workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_meta_train_reraises_a_worker_error_and_stops_every_worker(
+        monkeypatch):
+    def step(env, raw):
+        raise KeyError("no step in this test")
+
+    monkeypatch.setattr(VlcUavEnv, "step", step)
+    with pytest.raises(KeyError, match="no step in this test"):
+        trained(workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def _train_in_pool(workers):
+    meta, history = trained(workers)
+    return (os.getpid(), history,
+            [getattr(meta.agent, name).flat for name in NETS])
+
+
+def test_meta_train_in_a_pool_worker_runs_in_that_worker():
+    results = list(parallel_map(_train_in_pool, [2, 2], workers=2))
+    meta, history = trained(workers=1)
+    for pid, pool_history, flats in results:
+        assert pool_history == history
+        for name, flat in zip(NETS, flats):
+            assert np.array_equal(flat, getattr(meta.agent, name).flat)
+    if worker_count(2, 2) > 1:
+        assert all(pid != os.getpid() for pid, _, _ in results)
