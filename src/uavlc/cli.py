@@ -121,6 +121,9 @@ def cmd_adapt(args):
 
 
 def cmd_eval(args):
+    if args.episodes < 1:
+        raise UsageError(f"--episodes must be at least 1, got "
+                         f"{args.episodes}")
     cfg = _load_cfg(args)
     env = VlcUavEnv(cfg, _task_for(cfg, args.seed))
     stats = evaluate(env, _policy_for(args, env), args.episodes, args.seed)

@@ -15,7 +15,8 @@ the same floats in whichever process it runs. `parallel_map` hands the
 results back in input order, and the parent alone writes the CSV, row by
 row in the serial order, as the results arrive. A meta-training run in
 this process forks workers for its own tasks (`MetaSac.meta_train`, same
-floats for any worker count); one run in a pool worker stays in it.
+floats for any worker count); one run in a `parallel_map` worker stays in
+it. Both fork by `procs.forked`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from .config import SystemConfig
 from .env import Task, VlcUavEnv, rollout, sample_task
 from .meta import MetaSac
 from .metrics import energy_efficiency
-from .procs import fork_context, worker_count
+from .procs import (fork_context, forked, ready, receive, value,
+                    worker_count)
 from .sac import SacAgent, train_sac
 
 SWEEP_VARS = {"K": "n_users", "P_max": "p_max", "R_min": "r_min",
@@ -61,13 +63,23 @@ class ExperimentSpec:
                              f"{sorted(SWEEP_VARS)}")
         if not self.sweep_values:
             raise ValueError("sweep values must be non-empty")
+        # a value's seeds must not depend on how it is written: 2 is 2.0
+        self.sweep_values = [float(v) for v in self.sweep_values]
         if SWEEP_VARS[self.sweep_var] in _COUNTS:
             for v in self.sweep_values:
-                if not float(v).is_integer():
+                if not v.is_integer():
                     raise ValueError(f"{self.sweep_var} values must be "
                                      f"whole numbers, got {v!r}")
         if self.seeds < 1:
             raise ValueError("need at least one seed")
+        if self.eval_episodes < 1:
+            raise ValueError(f"need at least one evaluation episode, got "
+                             f"{self.eval_episodes}")
+        for budget in ("train_episodes", "adapt_episodes",
+                       "meta_iterations"):
+            if getattr(self, budget) < 0:
+                raise ValueError(f"{budget} must not be negative, got "
+                                 f"{getattr(self, budget)}")
         if not self.schemes:
             raise ValueError("scheme list must be non-empty")
         for s in self.schemes:
@@ -96,42 +108,50 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "little") >> 1
 
 
-_unit_fn = None     # set only in a pool worker, by its initializer
-
-
-def _start_worker(fn):
-    global _unit_fn
-    _unit_fn = fn
-
-
-def _apply_unit(unit):
-    return _unit_fn(unit)
-
-
 def parallel_map(fn, units, workers: int | None = None):
     """Iterator over `fn(unit)` for each unit, in input order.
 
-    Up to `worker_count(workers, len(units))` forked processes run the
-    units (see `procs.fork_context` for when this process runs them
-    instead); results arrive as soon as they and every earlier one are
-    done. The workers inherit `fn` from the fork, so it need not be
-    picklable; the units and results are pickled. A unit's exception is
-    raised at its place in the iteration.
+    Up to `worker_count(workers, len(units))` `procs.forked` workers run
+    the units (see `procs.fork_context` for when this process runs them
+    instead), each taking the next unit index when it is free; results
+    arrive as soon as they and every earlier one are done. The workers
+    inherit `fn` and the units from the fork, so neither need be
+    picklable; the results are pickled. A unit's exception is raised at
+    its place in the iteration, and a worker that exits without replying
+    raises `RuntimeError`.
     """
     units = list(units)
     ctx, n = fork_context(workers, len(units))
     if ctx is None:
         return map(fn, units)
-    return _pool_map(ctx, fn, units, n)
+    return _forked_map(ctx, fn, units, n)
 
 
-def _pool_map(ctx, fn, units, n):
-    with ctx.Pool(n, initializer=_start_worker, initargs=(fn,)) as pool:
-        yield from pool.imap(_apply_unit, units)
+def _forked_map(ctx, fn, units, n):
+    todo, running, replies = iter(range(len(units))), {}, {}
+    with forked(ctx, [lambda i: fn(units[i])] * n) as conns:
+        def start(conn):
+            i = next(todo, None)
+            if i is not None:
+                conn.send(i)
+                running[conn] = i
+
+        for conn in conns:
+            start(conn)
+        for i in range(len(units)):
+            while i not in replies:
+                for conn in ready(list(running)):
+                    replies[running.pop(conn)] = receive(conn)
+                    start(conn)
+            yield value(replies.pop(i))
 
 
 def evaluate(env: VlcUavEnv, policy, episodes: int, seed: int) -> dict:
-    """Deterministic multi-episode evaluation of a raw-action policy."""
+    """Deterministic multi-episode evaluation of a raw-action policy;
+    refuses fewer than one episode, whose means would be NaN."""
+    if episodes < 1:
+        raise ValueError(f"need at least one evaluation episode, got "
+                         f"{episodes}")
     p_tot, sum_rate, ee, feas = [], [], [], []
     for ep in range(episodes):
         rollout(env, policy, derive_seed("eval", seed, ep))

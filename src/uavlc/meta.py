@@ -12,24 +12,23 @@ for its episode seeds, warm-up actions, support/query split and batches,
 one for its agent's noise. Its agent is a clone of the global agent, which
 acts in the rollouts and then adapts in place, so a unit reads only the
 global parameters and its own task's env and buffer (both kept across
-iterations). The tasks' owners are forked once per `meta_train` call:
-worker j owns tasks j, j + n, ... Each iteration it receives the global
-parameters and sends back its units' query gradients, which the parent sums
-in task order before its one outer step. So the floats do not depend on
-the worker count, and meta-training never draws from the global agent's
-own generator.
+iterations). The tasks' owners are forked once per `meta_train` call, by
+`procs.forked`: worker j owns tasks j, j + n, ... Each iteration it
+receives the global parameters and sends back its units' query gradients,
+which the parent sums in task order before its one outer step. So the
+floats do not depend on the worker count, and meta-training never draws
+from the global agent's own generator.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 
 import numpy as np
 
 from .config import SystemConfig
 from .env import Task, VlcUavEnv, rollout
-from .procs import fork_context
+from .procs import fork_context, forked, receive, value
 from .sac import (NETS, ReplayBuffer, SacAgent, learn_online,
                   read_checkpoint, require_split)
 
@@ -196,10 +195,10 @@ def _task_shard(meta: MetaSac, tasks: list, ks):
 def _task_owners(meta: MetaSac, tasks: list, workers: int | None):
     """query(it): every task's `_task_unit` (it, k), in task order.
 
-    In this process, or from forked workers, worker j owning the tasks j,
-    j + n, ... for the whole block; each call sends them the global
-    parameters. A worker's exception is raised here with its type and
-    message. Leaving the block stops and joins every worker.
+    In this process, or from `procs.forked` workers, worker j owning the
+    tasks j, j + n, ... for the whole block; each call sends them the
+    global parameters. A worker's exception is raised here with its type
+    and message. Leaving the block stops and joins every worker.
     """
     ctx, n = fork_context(workers, len(tasks))
     shards = [_task_shard(meta, tasks, range(j, len(tasks), n))
@@ -207,60 +206,20 @@ def _task_owners(meta: MetaSac, tasks: list, workers: int | None):
     if ctx is None:
         yield shards[0]
         return
-    cpus = (sorted(os.sched_getaffinity(0))
-            if hasattr(os, "sched_setaffinity") else [None] * n)
-    conns, procs = [], []
-    try:
-        for j in range(n):
-            conn, child = ctx.Pipe()
-            conns.append(conn)
-            procs.append(ctx.Process(
-                target=_serve, daemon=True,
-                args=(meta, shards[j], cpus[j], child, list(conns))))
-            procs[-1].start()
-            child.close()
 
+    def owner(shard):
+        def handle(request):
+            it, flats = request
+            for name, flat in zip(NETS, flats):
+                getattr(meta.agent, name).flat[:] = flat
+            return shard(it)
+        return handle
+
+    with forked(ctx, [owner(shard) for shard in shards]) as conns:
         def query(it):
             flats = [getattr(meta.agent, name).flat for name in NETS]
             for conn in conns:
                 conn.send((it, flats))
-            shards = []
-            for j, conn in enumerate(conns):
-                try:
-                    reply = conn.recv()
-                except EOFError:
-                    raise RuntimeError(f"meta-training worker {j} exited "
-                                       f"without replying") from None
-                if isinstance(reply, BaseException):
-                    raise reply
-                shards.append(reply)
-            return [shards[k % n][k // n] for k in range(len(tasks))]
+            units = [value(receive(conn)) for conn in conns]
+            return [units[k % n][k // n] for k in range(len(tasks))]
         yield query
-    finally:
-        for conn in conns:
-            conn.close()
-        for proc in procs:
-            proc.terminate()
-            proc.join()
-
-
-def _serve(meta: MetaSac, query, cpu, conn, parent_ends: list):
-    """A worker's loop: per request (it, flats), load the global parameters
-    and reply with `query(it)`, or with the exception it raised. Returns
-    when the parent closes the pipe."""
-    for end in parent_ends:     # so the parent's close reaches the worker
-        end.close()
-    if cpu is not None:
-        os.sched_setaffinity(0, {cpu})
-    while True:
-        try:
-            it, flats = conn.recv()
-        except EOFError:
-            return
-        for name, flat in zip(NETS, flats):
-            getattr(meta.agent, name).flat[:] = flat
-        try:
-            reply = query(it)
-        except Exception as exc:
-            reply = exc
-        conn.send(reply)

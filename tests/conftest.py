@@ -1,5 +1,8 @@
 """Shared fixtures: small fast configs and environments."""
 
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -38,3 +41,19 @@ def make_env():
         task = sample_task(c, np.random.default_rng(42))
         return VlcUavEnv(c, task)
     return _make
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail the block with TimeoutError once `seconds` have passed, so that
+    a hang is a test failure instead of a stuck suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -311,3 +311,23 @@ def test_paper_literal_flag(cfg_path, tmp_path):
     for r in rows:
         if r["feasible"] == "0":
             assert float(r["reward"]) == 0.0
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--var", "K", "--values", "1", "--scheme", "random",
+     "--seeds", "1", "--eval-episodes", "0"],
+    ["eval", "--scheme", "random", "--episodes", "0"],
+])
+def test_no_evaluation_episode_is_a_one_line_usage_error(cfg_path, tmp_path,
+                                                        capsys, command):
+    out = tmp_path / "sweep.csv"
+    argv = command + ["--config", cfg_path]
+    if command[0] == "sweep":
+        argv += ["--out", str(out)]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"uavlc {command[0]}: error: ")
+    assert "at least" in err and "got 0" in err
+    assert not out.exists()

@@ -1,6 +1,7 @@
 """Sweep harness: deterministic seeding, paired tasks, CSV idempotence,
 the ordered process map and sweep resumption."""
 
+import multiprocessing
 import os
 import threading
 import time
@@ -14,7 +15,7 @@ from uavlc.harness import (derive_seed, paired_task, parallel_map,
                            run_experiment, worker_count)
 from uavlc.env import sample_task
 
-from conftest import small_config
+from conftest import small_config, time_limit
 
 
 def test_derive_seed_deterministic_and_sensitive():
@@ -65,6 +66,42 @@ def test_spec_refuses_fractional_counts():
     for var, values in (("K", [2, 3.0]), ("P_max", [2.5])):
         ExperimentSpec(scenario="t", sweep_var=var, sweep_values=values,
                        seeds=1, schemes=["random"], out_path="x.csv")
+
+
+def test_spec_refuses_no_evaluation_and_negative_budgets():
+    def spec(**budgets):
+        return ExperimentSpec(scenario="t", sweep_var="K", sweep_values=[1],
+                              seeds=1, schemes=["random"], out_path="x.csv",
+                              **budgets)
+
+    with pytest.raises(ValueError, match="at least one evaluation episode"):
+        spec(eval_episodes=0)
+    for budget in ("train_episodes", "adapt_episodes", "meta_iterations"):
+        with pytest.raises(ValueError, match=f"{budget} must not be "
+                                             f"negative, got -1"):
+            spec(**{budget: -1})
+        spec(**{budget: 0})
+
+
+def test_evaluate_refuses_zero_episodes(env):
+    with pytest.raises(ValueError, match="at least one evaluation episode"):
+        evaluate(env, RandomPolicy(env, seed=3), episodes=0, seed=0)
+
+
+def test_rows_do_not_depend_on_how_sweep_values_are_written(tmp_path):
+    def rows(values, path):
+        spec = ExperimentSpec(scenario="t", sweep_var="K",
+                              sweep_values=values, seeds=1,
+                              schemes=["meta-sac"], out_path=str(path),
+                              eval_episodes=1, adapt_episodes=1,
+                              meta_iterations=1)
+        assert [type(v) for v in spec.sweep_values] == [float]
+        return run_experiment(spec, small_config(), workers=1)
+
+    assert rows([2], tmp_path / "int.csv") == rows([2.0],
+                                                   tmp_path / "float.csv")
+    assert ((tmp_path / "int.csv").read_bytes()
+            == (tmp_path / "float.csv").read_bytes())
 
 
 def micro_spec(path, schemes=("random", "greedy")):
@@ -179,6 +216,32 @@ def test_parallel_map_nested_in_a_worker_runs_in_that_worker():
         assert nested == [own, own]
     if worker_count(2, 2) > 1:
         assert all(own != os.getpid() for own, _ in results)
+
+
+def test_parallel_map_takes_units_that_cannot_be_pickled():
+    units = [(threading.Lock(), x) for x in range(4)]
+    with time_limit(30):
+        out = list(parallel_map(lambda u: (os.getpid(), u[0].locked(), u[1]),
+                                units, workers=2))
+    assert [(locked, x) for _, locked, x in out] == [(False, x)
+                                                    for x in range(4)]
+    if worker_count(2, 2) > 1:
+        assert all(pid != os.getpid() for pid, _, _ in out)
+
+
+@pytest.mark.skipif(worker_count(2, 2) == 1, reason="needs two CPUs")
+def test_parallel_map_raises_when_a_worker_dies():
+    me = os.getpid()
+
+    def exit_in_a_worker(x):
+        if os.getpid() != me:
+            os._exit(3)
+        return x
+
+    with time_limit(30):
+        with pytest.raises(RuntimeError, match="exited without replying"):
+            list(parallel_map(exit_in_a_worker, range(4), workers=2))
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------

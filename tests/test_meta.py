@@ -12,7 +12,7 @@ from uavlc.harness import parallel_map, worker_count
 from uavlc.meta import query_grads
 from uavlc.sac import NETS
 
-from conftest import small_config
+from conftest import small_config, time_limit
 
 
 def meta_setup(seed=3, **overrides):
@@ -261,6 +261,23 @@ def test_meta_train_reraises_a_worker_error_and_stops_every_worker(
     monkeypatch.setattr(VlcUavEnv, "step", step)
     with pytest.raises(KeyError, match="no step in this test"):
         trained(workers=2)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(worker_count(2, 2) == 1, reason="needs two CPUs")
+def test_meta_train_raises_when_a_worker_dies(monkeypatch):
+    me = os.getpid()
+    step = VlcUavEnv.step
+
+    def exit_in_a_worker(env, raw):
+        if os.getpid() != me:
+            os._exit(3)
+        return step(env, raw)
+
+    monkeypatch.setattr(VlcUavEnv, "step", exit_in_a_worker)
+    with time_limit(60):
+        with pytest.raises(RuntimeError, match="exited without replying"):
+            trained(workers=2)
     assert multiprocessing.active_children() == []
 
 
