@@ -56,6 +56,7 @@ import numpy as np
 from .dimming import LedSelection, select_leds
 from .env import start_box
 from .metrics import per_user_rate, order_users, total_power
+from .uav import norm
 
 ORDER_MARGIN = 0.3   # least relative gap between consecutive cascade powers
 HEADROOM = 0.05      # relative rate-floor headroom of the greedy design
@@ -218,8 +219,8 @@ def cascade_beamformer(h_est: np.ndarray, selection: LedSelection,
     eff_gain = col_gain * n_a
     e_req = noma_cascade_amplitudes(eff_gain, r_target, noise_var)
     w = np.zeros((n, k_users))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        per_led = np.where(eff_gain > 0.0, e_req / eff_gain, 0.0)
+    per_led = np.divide(e_req, eff_gain, out=np.zeros(k_users),
+                        where=eff_gain > 0.0)
     w[active] = per_led
     row_sum = per_led.sum()
     if row_sum <= 0.0:
@@ -285,14 +286,14 @@ class GreedyPolicy:
         tau = cfg.slot_duration
         slots_left = cfg.n_slots - state.slot
         home = env.task.q_init
-        dist_home = np.linalg.norm(home - state.position)
+        dist_home = norm(home - state.position)
         # extra slots cover reversing the current velocity under the
         # acceleration limit, plus one slot of slack
         turnaround = math.ceil(2.0 * cfg.v_max / (cfg.a_max * tau))
         slots_home = math.ceil(dist_home / (cfg.v_max * tau)) + turnaround + 1
         goal = home if slots_left <= slots_home else self.target
         delta = goal - state.position
-        dist = np.linalg.norm(delta)
+        dist = norm(delta)
         if dist < 1e-9:
             return np.zeros(3)
         # braking limit: never command a speed the acceleration bound

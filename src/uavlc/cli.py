@@ -14,9 +14,9 @@ import numpy as np
 from .baselines import GreedyPolicy, RandomPolicy
 from .config import load_config
 from .env import VlcUavEnv, rollout, sample_task
-from .harness import (SCHEMES, SWEEP_VARS, ExperimentSpec, derive_seed,
-                      evaluate, make_agent_policy, meta_train_for,
-                      run_experiment)
+from .harness import (SCHEMES, SWEEP_VARS, ExperimentSpec, ResultFileError,
+                      derive_seed, evaluate, make_agent_policy,
+                      meta_train_for, run_experiment)
 from .meta import MetaSac
 from .procs import worker_count
 from .sac import SacAgent, train_sac
@@ -57,6 +57,14 @@ def _workers(args):
     return args.workers
 
 
+def _episodes(args):
+    """`--episodes`, refused below 1: no episode would average nothing."""
+    if args.episodes < 1:
+        raise UsageError(f"--episodes must be at least 1, got "
+                         f"{args.episodes}")
+    return args.episodes
+
+
 def _task_for(cfg, seed):
     return sample_task(cfg, np.random.default_rng(derive_seed("task", seed)))
 
@@ -86,10 +94,11 @@ def cmd_simulate(args):
 
 
 def cmd_train(args):
+    episodes = _episodes(args)
     cfg = _load_cfg(args)
     env = VlcUavEnv(cfg, _task_for(cfg, args.seed))
     agent, _, returns = train_sac(env, cfg, seed=args.seed,
-                                  episodes=args.episodes)
+                                  episodes=episodes)
     agent.save(args.out)
     print(f"trained {args.episodes} episodes; last-5 mean return "
           f"{np.mean(returns[-5:]):.1f}; checkpoint -> {args.out}")
@@ -121,12 +130,10 @@ def cmd_adapt(args):
 
 
 def cmd_eval(args):
-    if args.episodes < 1:
-        raise UsageError(f"--episodes must be at least 1, got "
-                         f"{args.episodes}")
+    episodes = _episodes(args)
     cfg = _load_cfg(args)
     env = VlcUavEnv(cfg, _task_for(cfg, args.seed))
-    stats = evaluate(env, _policy_for(args, env), args.episodes, args.seed)
+    stats = evaluate(env, _policy_for(args, env), episodes, args.seed)
     for k, v in stats.items():
         print(f"{k}: {v:.6g}")
 
@@ -141,7 +148,10 @@ def cmd_sweep(args):
             **{budget: getattr(args, budget) for budget in BUDGETS})
     except ValueError as err:
         raise UsageError(err) from err
-    rows = run_experiment(spec, cfg, workers=_workers(args))
+    try:
+        rows = run_experiment(spec, cfg, workers=_workers(args))
+    except ResultFileError as err:
+        raise UsageError(err) from err
     print(f"{len(rows)} rows -> {spec.out_path}")
 
 

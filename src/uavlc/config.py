@@ -20,8 +20,6 @@ import math
 import numbers
 from dataclasses import dataclass
 
-import yaml
-
 from .channel import OpticsParams
 from .dimming import DimmingConfig, active_led_count, dc_bias_for
 from .metrics import PowerBreakdown, QosConfig
@@ -240,6 +238,7 @@ class SystemConfig:
 
     def dump(self) -> str:
         """Canonical YAML form (sorted keys); basis of the config hash."""
+        import yaml     # imported on first use: `import uavlc` needs none
         return yaml.safe_dump(self.to_dict(), sort_keys=True)
 
     def config_hash(self) -> str:
@@ -261,6 +260,7 @@ def load_config(path: str | None = None) -> SystemConfig:
     """
     data = {}
     if path is not None:
+        import yaml
         with open(path) as f:
             try:
                 data = yaml.safe_load(f)

@@ -35,8 +35,9 @@ class DimmingConfig:
 
 
 def is_binary(a: np.ndarray) -> bool:
-    """Whether every entry is 0 or 1: the nonzero entries are the ones."""
-    return np.count_nonzero(a) == np.count_nonzero(a == 1)
+    """Whether every entry is 0 or 1 (False, True and -0.0 count; NaN does
+    not), in one pass over the entries as Python numbers."""
+    return set(a.ravel().tolist()) <= {0, 1}
 
 
 @dataclass
@@ -94,13 +95,18 @@ def project_beamformer(w_raw: np.ndarray, bound: float,
     Rows of inactive LEDs are zeroed. Rows whose absolute sum exceeds the
     bound are scaled down (direction preserving); feasible rows pass through.
     The row sums are numpy's; the N row scales are Python float divisions.
+    With every row feasible the masked beam is returned as it is (a scale
+    of 1.0 changes no entry).
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
     w = np.asarray(w_raw, dtype=float) * selection.a[:, None]
+    sums = np.abs(w).sum(axis=1).tolist()
+    if not any(s > bound for s in sums):
+        return w
     # a zero bound zeroes every nonzero row
     scale = [(bound / s if bound > 0.0 else 0.0) if s > bound else 1.0
-             for s in np.abs(w).sum(axis=1).tolist()]
+             for s in sums]
     return w * np.array(scale)[:, None]
 
 

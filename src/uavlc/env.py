@@ -16,6 +16,7 @@ per-user, per-element forms bit for bit; the `channel`, `uav` and
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,7 +167,9 @@ class VlcUavEnv:
         as a plain infeasible one.
         """
         raw = np.asarray(raw, dtype=float)
-        if not np.isfinite(raw).all():
+        # a NaN or infinite entry makes the sum non-finite; a finite sum
+        # that overflows falls through to the full check
+        if not math.isfinite(raw.sum()) and not np.isfinite(raw).all():
             raise ValueError(
                 f"non-finite raw action at slot {self._uav.slot}")
         n, k = self.cfg.n_leds, self.cfg.n_users
@@ -243,12 +246,12 @@ class VlcUavEnv:
             "p_total": power.total,
             "sum_rate": rates.sum_rate,
         }
-        for k in range(self.cfg.n_users):
-            row[f"rate_{k}"] = rates.rates[k]
+        for k, rate in enumerate(rates.rates.tolist()):
+            row[f"rate_{k}"] = rate
         for c in CONSTRAINTS:
             row[c] = int(report[c])
         row["feasible"] = int(report["feasible"])
-        row["x"], row["y"], row["z"] = self._uav.position
+        row["x"], row["y"], row["z"] = self._uav.position.tolist()
         self.trace.append(row)
 
     # read-only views for baselines and diagnostics

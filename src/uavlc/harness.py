@@ -2,8 +2,10 @@
 
 Every result row is reproducible bit-for-bit from (config hash, scheme,
 sweep variable, sweep value, seed): all randomness is derived from that
-key. Sweeps over the user count draw nested user supersets from a
-value-independent seed, so sweep points share common random numbers.
+key. Each seed's evaluation task comes from a value-independent seed, so
+sweep points share common random numbers: the parent draws it once per
+seed, at the sweep value with the most users, and each unit takes its
+first K users (`seed_tasks`, which equals `paired_task` per unit).
 
 The rows are also identical for any worker count. A sweep is a list of
 independent units, one per (sweep value, seed, scheme), plus one meta-
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -182,13 +185,32 @@ def paired_task(cfg: SystemConfig, spec: ExperimentSpec, base_hash: str,
     task_seed = derive_seed(base_hash, spec.sweep_var, "task", seed)
     if spec.sweep_var == "K":
         k_max = int(max(spec.sweep_values))
-        super_cfg = cfg.replace(n_users=k_max)
+        super_cfg = (cfg if cfg.n_users == k_max
+                     else cfg.replace(n_users=k_max))
         rng = np.random.default_rng(task_seed)
-        t = sample_task(super_cfg, rng)
-        return Task(user_positions=t.user_positions[:cfg.n_users],
-                    q_init=t.q_init, seed=t.seed)
+        return first_users(sample_task(super_cfg, rng), cfg.n_users)
     rng = np.random.default_rng(task_seed)
     return sample_task(cfg, rng)
+
+
+def seed_tasks(cfgs: list[SystemConfig], spec: ExperimentSpec,
+               base_hash: str) -> list[Task]:
+    """Each seed's `paired_task` at the config with the most users.
+
+    `first_users(tasks[seed], cfgs[i].n_users)` equals
+    `paired_task(cfgs[i], spec, base_hash, seed)`: a K sweep slices one
+    superset, and the other sweep variables leave untouched the user count
+    and flight box, all that `sample_task` reads.
+    """
+    widest = max(cfgs, key=lambda c: c.n_users)
+    return [paired_task(widest, spec, base_hash, seed)
+            for seed in range(spec.seeds)]
+
+
+def first_users(task: Task, n_users: int) -> Task:
+    """The task with only its first `n_users` users."""
+    return Task(user_positions=task.user_positions[:n_users],
+                q_init=task.q_init, seed=task.seed)
 
 
 def _apply_sweep(cfg: SystemConfig, var: str, value) -> SystemConfig:
@@ -240,8 +262,14 @@ _FIELDS = ["scheme", "sweep_var", "sweep_value", "seed", "mean_p_tot",
            "mean_sum_rate", "mean_ee", "feasibility_fraction"]
 
 
+class ResultFileError(ValueError):
+    """A result file a sweep refuses to resume; the message says what to
+    do about it."""
+
+
 def _saved_rows(path: str, config_hash: str) -> dict:
-    """Rows already in the CSV, by key; refuses a file of another config.
+    """Rows already in the CSV, by key; refuses a file of another config,
+    one ending in a partly written row and a row with a non-finite mean.
 
     Python's float repr round-trips, so a row read back equals the row
     that was written.
@@ -253,17 +281,23 @@ def _saved_rows(path: str, config_hash: str) -> dict:
         lines = [ln for ln in f if not ln.startswith("#")]
     if saved is None or saved.group(1) != config_hash:
         found = saved.group(1) if saved else "none"
-        raise ValueError(f"{path} holds rows of config hash {found}, not "
-                         f"{config_hash}; write this sweep to another file")
+        raise ResultFileError(f"{path} holds rows of config hash {found}, "
+                              f"not {config_hash}; write this sweep to "
+                              f"another file")
     if lines and not lines[-1].endswith("\n"):
-        raise ValueError(f"{path} ends in a partly written row; remove it "
-                         f"to resume the sweep")
+        raise ResultFileError(f"{path} ends in a partly written row; "
+                              f"remove it to resume the sweep")
     rows = {}
     for line in csv.DictReader(lines):
         row = ResultRow(scheme=line["scheme"], sweep_var=line["sweep_var"],
                         sweep_value=float(line["sweep_value"]),
                         seed=int(line["seed"]),
                         **{k: float(line[k]) for k in _FIELDS[4:]})
+        if not all(math.isfinite(getattr(row, k)) for k in _FIELDS[4:]):
+            raise ResultFileError(
+                f"{path} holds a non-finite result in row "
+                f"{','.join(map(str, row.key()))}; remove that row to "
+                f"recompute it")
         rows[row.key()] = row
     return rows
 
@@ -313,9 +347,10 @@ def run_experiment(spec: ExperimentSpec, cfg: SystemConfig,
                                   spec.meta_iterations, workers)[0]
 
         metas = dict(zip(meta_at, parallel_map(train_meta, meta_at, workers)))
+        tasks = seed_tasks(cfgs, spec, base_hash)
         results = parallel_map(
             lambda unit: run_scheme(*unit),
-            [(scheme, cfgs[i], paired_task(cfgs[i], spec, base_hash, seed),
+            [(scheme, cfgs[i], first_users(tasks[seed], cfgs[i].n_users),
               seed, spec, metas.get(i) if scheme == "meta-sac" else None)
              for i, seed, scheme in todo],
             workers)

@@ -20,7 +20,8 @@ users in the decoding order and so change every result after it.
 
 `check_p1_feasibility` forms the masked magnitudes |w| on active LEDs once
 and takes both the transmit power (sum over all entries) and the C3 row
-sums from them.
+sums from them. It compares the rates (C1) and row sums (C3) as Python
+floats, the same IEEE comparisons numpy makes, NaN included.
 """
 
 from __future__ import annotations
@@ -164,21 +165,23 @@ def check_p1_feasibility(w: np.ndarray, selection: LedSelection, i_dc: float,
                    conversion_factor, circuit_power)
     flight = check_flight(uav_state, v_next, flight_cfg)
     bound = beamforming_bound(i_dc, dim_cfg.i_low, dim_cfg.i_high)
-    row_sums = magnitudes.sum(axis=1)
     eta_back = dimming_level_of(n_a, i_dc, dim_cfg)
-    report = {
-        "C1": bool((report_rates.rates >= qos.r_min - 1e-12).all()),
-        "C2": power.total <= qos.p_max * (1.0 + 1e-12),
-        "C3": bool((row_sums <= bound * (1.0 + 1e-9) + 1e-15).all()),
-        "C4": True,
+    rate_floor = qos.r_min - 1e-12
+    row_limit = bound * (1.0 + 1e-9) + 1e-15
+    c1 = all(r >= rate_floor for r in report_rates.rates.tolist())
+    c2 = power.total <= qos.p_max * (1.0 + 1e-12)
+    c3 = all(s <= row_limit for s in magnitudes.sum(axis=1).tolist())
+    c8 = abs(eta_back - dim_cfg.eta) <= 1e-9
+    c9 = is_binary(selection.a) and n_a >= 1
+    return {
+        "C1": c1, "C2": c2, "C3": c3, "C4": True,
         "C5": "C5" not in flight,
         "C6": "C6" not in flight,
         "C7": "C7" not in flight,
-        "C8": abs(eta_back - dim_cfg.eta) <= 1e-9,
-        "C9": is_binary(selection.a) and n_a >= 1,
+        "C8": c8, "C9": c9,
         "RTS": "RTS" not in flight,
+        # flight holds only the names of violated C5, C6, C7 and RTS
+        "feasible": c1 and c2 and c3 and c8 and c9 and not flight,
+        "rates": report_rates,
+        "power": power,
     }
-    report["feasible"] = all(report[k] for k in CONSTRAINTS)
-    report["rates"] = report_rates
-    report["power"] = power
-    return report

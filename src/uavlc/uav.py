@@ -165,8 +165,12 @@ def propulsion_power(v: np.ndarray, p: RotorcraftParams,
     tip2 = (p.blade_angular_velocity * p.rotor_radius) ** 2
     blade = (1.0 + 3.0 * speed2 / tip2) * hov.blade
     vi2 = p.induced_hover_velocity ** 2
-    inner = np.sqrt(1.0 + speed2 ** 2 / (4.0 * vi2 * vi2)) - speed2 / (2.0 * vi2)
-    induced = np.sqrt(inner) * hov.induced
+    # math.sqrt and np.sqrt are both correctly rounded. Far past the hover
+    # induced velocity the difference cancels and can round below 0, where
+    # np.sqrt gave NaN and math.sqrt would raise
+    inner = math.sqrt(1.0 + speed2 ** 2 / (4.0 * vi2 * vi2)) \
+        - speed2 / (2.0 * vi2)
+    induced = (math.sqrt(inner) if inner >= 0.0 else math.nan) * hov.induced
     parasite = 0.5 * p.fuselage_drag_ratio * p.air_density * p.rotor_solidity \
         * p.rotor_disk_area * speed2 ** 1.5
     return float(blade + induced + parasite)

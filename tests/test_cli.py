@@ -331,3 +331,50 @@ def test_no_evaluation_episode_is_a_one_line_usage_error(cfg_path, tmp_path,
     assert err.startswith(f"uavlc {command[0]}: error: ")
     assert "at least" in err and "got 0" in err
     assert not out.exists()
+
+
+def test_train_refuses_no_episode_and_writes_no_file(cfg_path, tmp_path,
+                                                     capsys, monkeypatch):
+    def train(*args, **kwargs):
+        raise AssertionError("trained before refusing --episodes")
+
+    monkeypatch.setattr(uavlc.cli, "train_sac", train)
+    out = tmp_path / "agent.npz"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["train", "--config", cfg_path, "--episodes", "0",
+              "--out", str(out)])
+    assert exit_info.value.code == 2
+    [err] = capsys.readouterr().err.splitlines()
+    assert err == "uavlc train: error: --episodes must be at least 1, got 0"
+    assert not out.exists()
+
+
+def _sweep_argv(cfg_path, out):
+    return ["sweep", "--config", cfg_path, "--var", "K", "--values", "1",
+            "--seeds", "1", "--scheme", "random", "--eval-episodes", "1",
+            "--workers", "1", "--out", str(out)]
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda text: text.replace("config_hash=", "config_hash=0"),
+     "holds rows of config hash 0"),
+    (lambda text: text[:-5], "ends in a partly written row; remove it"),
+    (lambda text: "\n".join(text.splitlines()[:2]
+                            + ["random,K,1.0,0,nan,nan,nan,nan"]) + "\n",
+     "holds a non-finite result in row random,K,1.0,0; remove that row"),
+], ids=["other-config", "partly-written-row", "nan-row"])
+def test_refused_result_file_is_a_one_line_usage_error(cfg_path, tmp_path,
+                                                       capsys, spoil,
+                                                       message):
+    out = tmp_path / "sweep.csv"
+    main(_sweep_argv(cfg_path, out))
+    out.write_text(spoil(out.read_text()))
+    content = out.read_bytes()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(_sweep_argv(cfg_path, out))
+    assert exit_info.value.code == 2
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"uavlc sweep: error: {out} ")
+    assert message in err
+    assert out.read_bytes() == content

@@ -46,6 +46,45 @@ def test_paired_tasks_nest_user_supersets():
     assert np.array_equal(t2.q_init, t3.q_init)
 
 
+@pytest.mark.parametrize("var, values", [
+    ("K", [1, 4, 2, 3]), ("N", [1, 3, 10]), ("P_max", [500.0, 2000.0]),
+    ("R_min", [0.05, 0.1])])
+def test_seed_tasks_equal_paired_task_bitwise(var, values):
+    cfg = small_config(n_users=3)
+    spec = ExperimentSpec(scenario="t", sweep_var=var, sweep_values=values,
+                          seeds=3, schemes=["random"], out_path="unused.csv")
+    cfgs = [harness._apply_sweep(cfg, var, v) for v in spec.sweep_values]
+    tasks = harness.seed_tasks(cfgs, spec, "hash")
+    for c in cfgs:
+        for seed in range(spec.seeds):
+            got = harness.first_users(tasks[seed], c.n_users)
+            want = paired_task(c, spec, "hash", seed)
+            assert got.user_positions.shape == (c.n_users, 3)
+            assert got.user_positions.tobytes() == \
+                want.user_positions.tobytes()
+            assert got.q_init.tobytes() == want.q_init.tobytes()
+            assert got.seed == want.seed
+    assert len({t.seed for t in tasks}) == spec.seeds
+
+
+def test_k_sweep_draws_each_seeds_task_once(tmp_path, monkeypatch):
+    draws = []
+    original = harness.sample_task
+
+    def counted(cfg, rng):
+        draws.append(cfg.n_users)
+        return original(cfg, rng)
+
+    monkeypatch.setattr(harness, "sample_task", counted)
+    spec = ExperimentSpec(scenario="t", sweep_var="K",
+                          sweep_values=[1, 2, 3], seeds=2,
+                          schemes=["random", "greedy"],
+                          out_path=str(tmp_path / "k.csv"), eval_episodes=1)
+    rows = run_experiment(spec, small_config(), workers=1)
+    assert len(rows) == 3 * 2 * 2
+    assert draws == [3, 3]
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec(scenario="t", sweep_var="bogus", sweep_values=[1],
@@ -338,3 +377,22 @@ def test_run_experiment_refuses_a_partly_written_row(tmp_path):
     with pytest.raises(ValueError, match="partly written row"):
         run_experiment(spec, cfg, workers=1)
     assert path.read_bytes() == content
+
+
+def test_run_experiment_refuses_a_row_with_a_non_finite_mean(tmp_path):
+    cfg = small_config()
+    path = tmp_path / "rows.csv"
+    spec = ExperimentSpec(scenario="t", sweep_var="K", sweep_values=[1],
+                          seeds=1, schemes=["random"], out_path=str(path),
+                          eval_episodes=1)
+    run_experiment(spec, cfg, workers=1)
+    header = path.read_text().splitlines()[:2]
+    path.write_text("\n".join(header + ["random,K,1.0,0,nan,nan,nan,nan"])
+                    + "\n")
+    content = path.read_bytes()
+    with pytest.raises(harness.ResultFileError,
+                       match=f"{path} holds a non-finite result in row "
+                             f"random,K,1.0,0"):
+        run_experiment(spec, cfg, workers=1)
+    assert path.read_bytes() == content
+
