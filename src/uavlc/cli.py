@@ -117,15 +117,16 @@ def cmd_meta_train(args):
 
 
 def cmd_adapt(args):
+    episodes = _episodes(args)
     cfg = _load_cfg(args)
     try:
         meta = MetaSac.load(args.checkpoint, cfg)
     except (OSError, ValueError) as err:
         raise UsageError(err) from err
     task = _task_for(cfg, args.seed)
-    agent = meta.meta_adapt(task, args.episodes, seed=args.seed)
+    agent = meta.meta_adapt(task, episodes, seed=args.seed)
     agent.save(args.out)
-    print(f"adapted {args.episodes} episodes on task seed {task.seed}; "
+    print(f"adapted {episodes} episodes on task seed {task.seed}; "
           f"checkpoint -> {args.out}")
 
 

@@ -2,10 +2,10 @@
 
 Every result row is reproducible bit-for-bit from (config hash, scheme,
 sweep variable, sweep value, seed): all randomness is derived from that
-key. Each seed's evaluation task comes from a value-independent seed, so
-sweep points share common random numbers: the parent draws it once per
-seed, at the sweep value with the most users, and each unit takes its
-first K users (`seed_tasks`, which equals `paired_task` per unit).
+key. `seed_tasks` is the definition of each seed's evaluation task: one
+draw per seed, from a seed that does not depend on the sweep value, at the
+sweep value with the most users; each unit takes its first K users. So
+sweep points share common random numbers, and the users of a K sweep nest.
 
 The rows are also identical for any worker count. A sweep is a list of
 independent units, one per (sweep value, seed, scheme), plus one meta-
@@ -102,8 +102,14 @@ class ResultRow:
     feasibility_fraction: float
 
     def key(self) -> tuple:
-        return (self.scheme, self.sweep_var, repr(self.sweep_value),
-                self.seed)
+        return _row_key(self.scheme, self.sweep_var, self.sweep_value,
+                        self.seed)
+
+
+def _row_key(scheme: str, sweep_var: str, sweep_value: float,
+             seed: int) -> tuple:
+    """A row's identity in the CSV; a float's repr round-trips."""
+    return (scheme, sweep_var, repr(sweep_value), seed)
 
 
 def derive_seed(*parts) -> int:
@@ -175,35 +181,13 @@ def make_agent_policy(agent: SacAgent):
     return lambda obs: agent.act(obs, deterministic=True)
 
 
-def paired_task(cfg: SystemConfig, spec: ExperimentSpec, base_hash: str,
-                seed: int) -> Task:
-    """Evaluation task shared across sweep values and schemes for a seed.
-
-    For user-count sweeps the task's users are the first K of a superset
-    drawn for the largest swept K, so rows at different K pair exactly.
-    """
-    task_seed = derive_seed(base_hash, spec.sweep_var, "task", seed)
-    if spec.sweep_var == "K":
-        k_max = int(max(spec.sweep_values))
-        super_cfg = (cfg if cfg.n_users == k_max
-                     else cfg.replace(n_users=k_max))
-        rng = np.random.default_rng(task_seed)
-        return first_users(sample_task(super_cfg, rng), cfg.n_users)
-    rng = np.random.default_rng(task_seed)
-    return sample_task(cfg, rng)
-
-
 def seed_tasks(cfgs: list[SystemConfig], spec: ExperimentSpec,
                base_hash: str) -> list[Task]:
-    """Each seed's `paired_task` at the config with the most users.
-
-    `first_users(tasks[seed], cfgs[i].n_users)` equals
-    `paired_task(cfgs[i], spec, base_hash, seed)`: a K sweep slices one
-    superset, and the other sweep variables leave untouched the user count
-    and flight box, all that `sample_task` reads.
-    """
+    """Each seed's evaluation task, drawn at the config with the most
+    users; a unit at config `c` takes `first_users(task, c.n_users)`."""
     widest = max(cfgs, key=lambda c: c.n_users)
-    return [paired_task(widest, spec, base_hash, seed)
+    return [sample_task(widest, np.random.default_rng(
+                derive_seed(base_hash, spec.sweep_var, "task", seed)))
             for seed in range(spec.seeds)]
 
 
@@ -263,8 +247,8 @@ _FIELDS = ["scheme", "sweep_var", "sweep_value", "seed", "mean_p_tot",
 
 
 class ResultFileError(ValueError):
-    """A result file a sweep refuses to resume; the message says what to
-    do about it."""
+    """A result file a sweep refuses: one it cannot open, or one it cannot
+    resume; the message says why."""
 
 
 def _saved_rows(path: str, config_hash: str) -> dict:
@@ -318,12 +302,13 @@ def run_experiment(spec: ExperimentSpec, cfg: SystemConfig,
         new_file = not os.path.exists(spec.out_path)
         out = open(spec.out_path, "a", newline="")
     except OSError as e:
-        raise OSError(f"cannot open result file {spec.out_path}: {e}") from e
+        raise ResultFileError(f"{spec.out_path} cannot be opened as a "
+                              f"result file: {e.strerror or e}") from e
     plan, todo, seen = [], [], set(saved)
     for i, value in enumerate(spec.sweep_values):
         for seed in range(spec.seeds):
             for scheme in spec.schemes:
-                row_key = (scheme, spec.sweep_var, repr(float(value)), seed)
+                row_key = _row_key(scheme, spec.sweep_var, value, seed)
                 plan.append((row_key, i, seed, scheme))
                 if row_key not in seen:
                     seen.add(row_key)

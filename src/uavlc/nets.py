@@ -76,27 +76,21 @@ class Mlp:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)[0]
 
-    def backward(self, cache, grad_out: np.ndarray, need_dx: bool = True):
-        """Gradients of a scalar loss given d(loss)/d(output).
-
-        Returns (parameter gradient aligned with .flat, d(loss)/d(input)).
-        With `need_dx` false the input gradient is None and its layer-0
-        product is skipped.
-        """
+    def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
+        """Parameter gradient of a scalar loss, aligned with .flat, given
+        d(loss)/d(output); `input_grad` gives d(loss)/d(input)."""
         grad = np.empty_like(self.flat)
         grads_w, grads_b = self._layer_views(grad)
         delta = np.atleast_2d(grad_out)
         for i in reversed(range(len(self.weights))):
             np.matmul(cache[i].T, delta, out=grads_w[i])
             np.sum(delta, axis=0, out=grads_b[i])
-            if i == 0 and not need_dx:
-                return grad, None
-            delta = self._delta_below(i, cache, delta)
-        return grad, delta
+            if i > 0:
+                delta = self._delta_below(i, cache, delta)
+        return grad
 
     def input_grad(self, cache, grad_out: np.ndarray) -> np.ndarray:
-        """d(loss)/d(input) alone: `backward`'s dx, bit for bit, without
-        the parameter gradient."""
+        """d(loss)/d(input) alone, without the parameter gradient."""
         delta = np.atleast_2d(grad_out)
         for i in reversed(range(len(self.weights))):
             delta = self._delta_below(i, cache, delta)

@@ -148,8 +148,7 @@ def gaussian_policy_backward(actor: Mlp, fw: dict, grad_action: np.ndarray,
     d_log_std = -c + d_du * fw["sigma"] * fw["xi"]
     d_raw_ls = d_log_std * squash_log_std_grad(fw["raw_ls"])
     grad_out = np.concatenate([d_mu, d_raw_ls], axis=1)
-    grads, _ = actor.backward(fw["cache"], grad_out, need_dx=False)
-    return grads
+    return actor.backward(fw["cache"], grad_out)
 
 
 class SacAgent:
@@ -214,9 +213,7 @@ class SacAgent:
             pred, cache = q.forward(qin)
             err = pred[:, 0] - y
             loss = float(np.mean(err ** 2))
-            grads, _ = q.backward(cache, (2.0 / n) * err[:, None],
-                                  need_dx=False)
-            out.append((grads, loss))
+            out.append((q.backward(cache, (2.0 / n) * err[:, None]), loss))
         return out[0], out[1]
 
     def actor_grads(self, batch: dict, xi: np.ndarray | None = None):

@@ -1,6 +1,7 @@
 """Command-line interface smoke tests."""
 
 import csv
+import errno
 import os
 import subprocess
 import sys
@@ -317,12 +318,13 @@ def test_paper_literal_flag(cfg_path, tmp_path):
     ["sweep", "--var", "K", "--values", "1", "--scheme", "random",
      "--seeds", "1", "--eval-episodes", "0"],
     ["eval", "--scheme", "random", "--episodes", "0"],
+    ["adapt", "--checkpoint", "unused.npz", "--episodes", "0"],
 ])
 def test_no_evaluation_episode_is_a_one_line_usage_error(cfg_path, tmp_path,
                                                         capsys, command):
-    out = tmp_path / "sweep.csv"
+    out = tmp_path / "out"
     argv = command + ["--config", cfg_path]
-    if command[0] == "sweep":
+    if command[0] != "eval":
         argv += ["--out", str(out)]
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
@@ -378,3 +380,14 @@ def test_refused_result_file_is_a_one_line_usage_error(cfg_path, tmp_path,
     assert err.startswith(f"uavlc sweep: error: {out} ")
     assert message in err
     assert out.read_bytes() == content
+
+
+def test_result_file_that_cannot_be_opened_is_a_one_line_usage_error(
+        cfg_path, tmp_path, capsys):
+    out = tmp_path / "missing" / "sweep.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        main(_sweep_argv(cfg_path, out))
+    assert exit_info.value.code == 2
+    [err] = capsys.readouterr().err.splitlines()
+    assert err == (f"uavlc sweep: error: {out} cannot be opened as a result "
+                   f"file: {os.strerror(errno.ENOENT)}")

@@ -11,11 +11,26 @@ import pytest
 
 import uavlc.harness as harness
 from uavlc import ExperimentSpec, GreedyPolicy, RandomPolicy, VlcUavEnv, evaluate
-from uavlc.harness import (derive_seed, paired_task, parallel_map,
+from uavlc.harness import (derive_seed, first_users, parallel_map,
                            run_experiment, worker_count)
 from uavlc.env import sample_task
 
 from conftest import small_config, time_limit
+
+
+def paired_task(cfg, spec, base_hash, seed):
+    """The per-unit task draw that `seed_tasks` replaced, kept verbatim as
+    the reference: for user-count sweeps the task's users are the first K
+    of a superset drawn for the largest swept K."""
+    task_seed = derive_seed(base_hash, spec.sweep_var, "task", seed)
+    if spec.sweep_var == "K":
+        k_max = int(max(spec.sweep_values))
+        super_cfg = (cfg if cfg.n_users == k_max
+                     else cfg.replace(n_users=k_max))
+        rng = np.random.default_rng(task_seed)
+        return first_users(sample_task(super_cfg, rng), cfg.n_users)
+    rng = np.random.default_rng(task_seed)
+    return sample_task(cfg, rng)
 
 
 def test_derive_seed_deterministic_and_sensitive():
@@ -57,7 +72,7 @@ def test_seed_tasks_equal_paired_task_bitwise(var, values):
     tasks = harness.seed_tasks(cfgs, spec, "hash")
     for c in cfgs:
         for seed in range(spec.seeds):
-            got = harness.first_users(tasks[seed], c.n_users)
+            got = first_users(tasks[seed], c.n_users)
             want = paired_task(c, spec, "hash", seed)
             assert got.user_positions.shape == (c.n_users, 3)
             assert got.user_positions.tobytes() == \

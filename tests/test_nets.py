@@ -31,27 +31,11 @@ def test_mlp_param_gradients_match_finite_differences():
         return float(np.sum((out - t) ** 2))
 
     out, cache = net.forward(x)
-    grads, _ = net.backward(cache, 2.0 * (out - t))
+    grads = net.backward(cache, 2.0 * (out - t))
     flat_analytic = np.concatenate([g.ravel() for g in grads])
     flat_numeric = numeric_grad(loss_at, net.flat.copy())
     err = np.max(np.abs(flat_analytic - flat_numeric)
                  / (np.abs(flat_numeric) + 1e-8))
-    assert err < 1e-5
-
-
-def test_mlp_input_gradient_matches_finite_differences():
-    rng = np.random.default_rng(1)
-    net = Mlp([4, 6, 3], rng)
-    x0 = rng.standard_normal(4)
-
-    def loss_at(xf):
-        out, _ = net.forward(xf[None, :])
-        return float(np.sum(out ** 2))
-
-    out, cache = net.forward(x0[None, :])
-    _, dx = net.backward(cache, 2.0 * out)
-    err = np.max(np.abs(dx[0] - numeric_grad(loss_at, x0))
-                 / (np.abs(numeric_grad(loss_at, x0)) + 1e-8))
     assert err < 1e-5
 
 
@@ -92,18 +76,16 @@ def test_mlp_passes_match_reference_and_input_grad_is_dx_bitwise(sizes,
     ref_out, ref_cache = reference_forward(net, x)
     assert all(np.array_equal(a, b) for a, b in zip(cache, ref_cache))
     grad_out = rng.standard_normal(out.shape)
-    grad, dx = net.backward(cache, grad_out)
     ref_grad, ref_dx = reference_backward(net, ref_cache, grad_out)
-    assert np.array_equal(grad, ref_grad) and np.array_equal(dx, ref_dx)
-    assert np.array_equal(net.input_grad(cache, grad_out), dx)
-    grad_only, no_dx = net.backward(cache, grad_out, need_dx=False)
-    assert np.array_equal(grad_only, grad) and no_dx is None
+    assert np.array_equal(net.backward(cache, grad_out), ref_grad)
+    assert np.array_equal(net.input_grad(cache, grad_out), ref_dx)
 
 
-def test_mlp_input_grad_matches_finite_differences():
-    rng = np.random.default_rng(6)
-    net = Mlp([5, 7, 6, 1], rng)
-    x0 = rng.standard_normal(5)
+@pytest.mark.parametrize("seed,sizes", [(1, [4, 6, 3]), (6, [5, 7, 6, 1])])
+def test_mlp_input_grad_matches_finite_differences(seed, sizes):
+    rng = np.random.default_rng(seed)
+    net = Mlp(sizes, rng)
+    x0 = rng.standard_normal(sizes[0])
 
     def loss_at(xf):
         return float(np.sum(net(xf[None, :]) ** 2))
