@@ -126,7 +126,6 @@ class SystemConfig:
     meta_task_count: int = 4
     episodes_per_task: int = 1
     lr_inner: float = 1e-3
-    adapt_episodes: int = 20
 
     def __post_init__(self):
         for f in dataclasses.fields(self):

@@ -82,6 +82,15 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         load_config(str(p))
 
 
+def test_load_config_refuses_the_removed_adapt_episodes_key(tmp_path):
+    # the adaptation budget is `uavlc adapt --episodes` or the sweep's
+    p = tmp_path / "old.yaml"
+    p.write_text("adapt_episodes: 20\n")
+    with pytest.raises(ValueError,
+                       match=r"unknown keys \['adapt_episodes'\]"):
+        load_config(str(p))
+
+
 def test_load_config_rejects_non_mapping(tmp_path):
     p = tmp_path / "list.yaml"
     p.write_text("- 1\n- 2\n")
@@ -173,11 +182,12 @@ def test_a_value_of_the_wrong_kind_is_a_config_error(name, bad):
 
 def test_values_of_the_right_kind_are_kept_as_given():
     # the config hash seeds every sweep: an accepted value is not coerced
-    assert SystemConfig().config_hash() == "f00662793da49acc"
+    # (pinned again when the unread adapt_episodes field left the config)
+    assert SystemConfig().config_hash() == "6f70987e4a1380ef"
     cfg = SystemConfig(p_max=2000)
     assert type(cfg.p_max) is int and "p_max: 2000\n" in cfg.dump()
-    assert cfg.config_hash() == "a0a4a1a2d1296b27"
-    assert SystemConfig(p_max=2000.0).config_hash() == "58de56e907a6dd39"
+    assert cfg.config_hash() == "665a156f813210ee"
+    assert SystemConfig(p_max=2000.0).config_hash() == "093553902619b0f7"
     cfg = SystemConfig(penalty=-5, q_min=[0, 0, 10], hidden_sizes=[8, 8])
     assert (cfg.penalty, cfg.q_min, cfg.hidden_sizes) == (
         -5, (0.0, 0.0, 10.0), (8, 8))

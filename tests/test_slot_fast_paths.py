@@ -1,14 +1,16 @@
 """The slot kernels' fast paths against the forms they replaced.
 
-`is_binary`, `project_beamformer`, `propulsion_power` and the finiteness
-check of `decode_action` were rewritten to cost less per slot. The earlier
-forms are kept below verbatim (renamed `previous_*`), and every test
-asserts exact equality with them, on the edge cases each fast path must
-keep and on seeded random inputs.
+`is_binary`, `project_beamformer` and the finiteness check of
+`decode_action` were rewritten to cost less per slot. The earlier forms are
+kept below verbatim (renamed `previous_*`), and their tests assert exact
+equality with them, on the edge cases each fast path must keep and on
+seeded random inputs. `propulsion_power` is checked against a 60-digit
+decimal evaluation of the same model instead.
 """
 
 import dataclasses
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -34,20 +36,6 @@ def previous_project_beamformer(w_raw, bound, selection):
     scale = [(bound / s if bound > 0.0 else 0.0) if s > bound else 1.0
              for s in np.abs(w).sum(axis=1).tolist()]
     return w * np.array(scale)[:, None]
-
-
-def previous_propulsion_power(v, p, hover=None):
-    v = np.asarray(v, dtype=float).ravel()
-    speed2 = float(v.dot(v))
-    hov = hover_power(p) if hover is None else hover
-    tip2 = (p.blade_angular_velocity * p.rotor_radius) ** 2
-    blade = (1.0 + 3.0 * speed2 / tip2) * hov.blade
-    vi2 = p.induced_hover_velocity ** 2
-    inner = np.sqrt(1.0 + speed2 ** 2 / (4.0 * vi2 * vi2)) - speed2 / (2.0 * vi2)
-    induced = np.sqrt(inner) * hov.induced
-    parasite = 0.5 * p.fuselage_drag_ratio * p.air_density * p.rotor_solidity \
-        * p.rotor_disk_area * speed2 ** 1.5
-    return float(blade + induced + parasite)
 
 
 def previous_finite(raw):
@@ -157,34 +145,53 @@ ROTORS = [
 ]
 
 
-@pytest.mark.parametrize("rotor", ROTORS, ids=["default", "featherweight"])
-def test_propulsion_power_matches_previous_form_over_random_speeds(rotor):
+# far past the hover induced velocity sqrt(1 + x^2) - x cancels
+SLOW_INDUCED = dataclasses.replace(ROTORS[0], induced_hover_velocity=1e-3)
+
+
+def decimal_propulsion_power(v, p):
+    """The rotor power model in 60-digit decimal arithmetic, from the exact
+    values of its float inputs; 60 digits absorb the cancellation."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        speed2 = sum(Decimal(float(c)) ** 2 for c in v)
+        drag, air, solidity, area = (Decimal(p.profile_drag_coeff),
+                                     Decimal(p.air_density),
+                                     Decimal(p.rotor_solidity),
+                                     Decimal(p.rotor_disk_area))
+        tip = Decimal(p.blade_angular_velocity) * Decimal(p.rotor_radius)
+        weight = Decimal(p.uav_weight)
+        blade_hover = drag / 8 * air * solidity * area * tip ** 3
+        induced_hover = ((1 + Decimal(p.correction_factor)) * weight
+                         * weight.sqrt() / (2 * air * area).sqrt())
+        x = speed2 / (2 * Decimal(p.induced_hover_velocity) ** 2)
+        return ((1 + 3 * speed2 / tip ** 2) * blade_hover
+                + induced_hover * ((1 + x * x).sqrt() - x).sqrt()
+                + Decimal("0.5") * Decimal(p.fuselage_drag_ratio) * air
+                * solidity * area * speed2 * speed2.sqrt())
+
+
+@pytest.mark.parametrize("rotor", ROTORS + [SLOW_INDUCED],
+                         ids=["default", "featherweight", "slow-induced"])
+def test_propulsion_power_within_2e_15_of_decimal(rotor):
     rng = np.random.default_rng(8)
     hov = hover_power(rotor)
-    for _ in range(5000):
-        v = rng.normal(size=3) * 10.0 ** rng.uniform(-6.0, 2.0)
-        want = previous_propulsion_power(v, rotor, hov)
-        assert propulsion_power(v, rotor, hov) == want
-        assert propulsion_power(v, rotor) == previous_propulsion_power(v,
-                                                                       rotor)
-    assert propulsion_power(np.zeros(3), rotor) == \
-        previous_propulsion_power(np.zeros(3), rotor)
+    speeds = [np.zeros(3)] + [rng.normal(size=3) * 10.0 ** rng.uniform(-6, 2)
+                              for _ in range(3000)]
+    for v in speeds:
+        got = propulsion_power(v, rotor)
+        assert math.isfinite(got) and propulsion_power(v, rotor, hov) == got
+        want = decimal_propulsion_power(v, rotor)
+        assert abs(Decimal(got) - want) <= Decimal("2e-15") * want
 
 
-def test_propulsion_power_keeps_nan_where_the_root_cancels_below_zero():
-    # far past the hover induced velocity sqrt(1 + x^2) - x can round
-    # below 0; the previous form's np.sqrt gave NaN there
-    rotor = dataclasses.replace(ROTORS[0], induced_hover_velocity=1e-3)
+def test_propulsion_power_is_finite_at_every_speed_up_to_1000_m_s():
     rng = np.random.default_rng(9)
-    nans = 0
-    with np.errstate(invalid="ignore"):
-        for speed in 10.0 ** rng.uniform(0.0, 3.0, 2000):
-            v = np.array([speed, 0.0, 0.0])
-            got = propulsion_power(v, rotor)
-            want = previous_propulsion_power(v, rotor)
-            assert got == want or (math.isnan(got) and math.isnan(want))
-            nans += math.isnan(want)
-    assert 0 < nans < 2000
+    speeds = np.concatenate([np.linspace(0.0, 1000.0, 2001),
+                             10.0 ** rng.uniform(-3.0, 3.0, 2000)])
+    for speed in speeds:
+        power = propulsion_power(np.array([speed, 0.0, 0.0]), SLOW_INDUCED)
+        assert math.isfinite(power) and power > 0.0
 
 
 # ---------------------------------------------------------------------------

