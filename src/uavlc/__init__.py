@@ -10,9 +10,8 @@ from .dimming import (DimmingConfig, LedSelection, active_led_count,
 from .uav import (FlightConfig, RotorcraftParams, UavState, step_kinematics,
                   check_flight, clamp_velocity, hover_power,
                   propulsion_power)
-from .metrics import (PowerBreakdown, RateReport, QosConfig, order_users,
-                      per_user_rate, total_power, energy_efficiency,
-                      check_p1_feasibility)
+from .metrics import (PowerBreakdown, RateReport, order_users, per_user_rate,
+                      total_power, energy_efficiency, check_p1_feasibility)
 from .env import (Task, AllocationAction, Transition, EpisodeTrace, VlcUavEnv,
                   rollout, sample_task)
 from .sac import ReplayBuffer, SacAgent, learn_online, train_sac

@@ -231,8 +231,6 @@ def cascade_beamformer(h_est: np.ndarray, selection: LedSelection,
 
     t = least_floor_scale(h_est, w, selection, eff_gain > 0.0,
                           r_target * (1.0 - 1e-9), noise_var)
-    if t > t_cap:
-        return w * t_cap
     return w * min(t * (1.0 + 1e-9), t_cap)
 
 

@@ -57,12 +57,13 @@ def _workers(args):
     return args.workers
 
 
-def _episodes(args):
-    """`--episodes`, refused below 1: no episode would average nothing."""
-    if args.episodes < 1:
-        raise UsageError(f"--episodes must be at least 1, got "
-                         f"{args.episodes}")
-    return args.episodes
+def _at_least_one(args, name):
+    """`--<name>`, refused below 1: no episode would average nothing, and
+    no meta-iteration would save an untrained checkpoint."""
+    value = getattr(args, name)
+    if value < 1:
+        raise UsageError(f"--{name} must be at least 1, got {value}")
+    return value
 
 
 def _task_for(cfg, seed):
@@ -94,7 +95,7 @@ def cmd_simulate(args):
 
 
 def cmd_train(args):
-    episodes = _episodes(args)
+    episodes = _at_least_one(args, "episodes")
     cfg = _load_cfg(args)
     env = VlcUavEnv(cfg, _task_for(cfg, args.seed))
     agent, _, returns = train_sac(env, cfg, seed=args.seed,
@@ -105,19 +106,19 @@ def cmd_train(args):
 
 
 def cmd_meta_train(args):
+    iterations = _at_least_one(args, "iterations")
     cfg = _load_cfg(args)
     meta, history = meta_train_for(cfg, args.seed,
                                    derive_seed("meta-tasks", args.seed),
-                                   args.iterations, _workers(args))
+                                   iterations, _workers(args))
     meta.save(args.out)
-    print(f"meta-trained {args.iterations} iterations on "
+    print(f"meta-trained {iterations} iterations on "
           f"{cfg.meta_task_count} tasks; checkpoint -> {args.out}")
-    if history:
-        print(f"final query losses: {history[-1]}")
+    print(f"final query losses: {history[-1]}")
 
 
 def cmd_adapt(args):
-    episodes = _episodes(args)
+    episodes = _at_least_one(args, "episodes")
     cfg = _load_cfg(args)
     try:
         meta = MetaSac.load(args.checkpoint, cfg)
@@ -131,7 +132,7 @@ def cmd_adapt(args):
 
 
 def cmd_eval(args):
-    episodes = _episodes(args)
+    episodes = _at_least_one(args, "episodes")
     cfg = _load_cfg(args)
     env = VlcUavEnv(cfg, _task_for(cfg, args.seed))
     stats = evaluate(env, _policy_for(args, env), episodes, args.seed)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .channel import OpticsParams
 from .dimming import DimmingConfig, active_led_count, dc_bias_for
-from .metrics import PowerBreakdown, QosConfig
+from .metrics import PowerBreakdown
 from .uav import FlightConfig, RotorcraftParams, min_propulsion_power
 
 log = logging.getLogger(__name__)
@@ -153,11 +153,13 @@ class SystemConfig:
                     f"{f.name} must be finite, got {v}")
         # each physics parameter set checks its own rules (any start will do)
         try:
-            for build in (self.optics, self.dimming, self.rotor, self.qos):
+            for build in (self.optics, self.dimming, self.rotor):
                 build()
             self.flight(self.q_min)
         except ValueError as e:
             raise ValueError(f"config: {e}") from e
+        req(self.r_min > 0 and self.p_max > 0,
+            "r_min and p_max must be positive")
         req(self.noise_var > 0, "noise variance must be positive")
         req(self.csi_radius >= 0, "CSI radius must be non-negative")
         req(self.n_users >= 1, "need at least one user")
@@ -200,10 +202,6 @@ class SystemConfig:
         """The dimming settings the env decodes actions under."""
         return DimmingConfig(eta=self.dimming_level, i_low=self.i_low,
                              i_high=self.i_high, n_leds=self.n_leds)
-
-    def qos(self) -> QosConfig:
-        """The rate floor and power budget of constraints C1 and C2."""
-        return QosConfig(r_min=self.r_min, p_max=self.p_max)
 
     def flight(self, q_init) -> FlightConfig:
         """The flight envelope (C5-C7, RTS) of a UAV starting at `q_init`."""

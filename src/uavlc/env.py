@@ -50,7 +50,6 @@ class Task:
 class AllocationAction:
     w: np.ndarray                # N x K beamformer [A]
     selection: LedSelection
-    i_dc: float                  # [A]
     velocity: np.ndarray         # commanded slot velocity [m/s]
 
 
@@ -115,7 +114,6 @@ class VlcUavEnv:
         self.dim_cfg = cfg.dimming()
         self.flight_cfg = cfg.flight(task.q_init)
         self.rotor = cfg.rotor()
-        self.qos = cfg.qos()
         self.hover = hover_power(self.rotor)
         self.penalty = (cfg.penalty if cfg.penalty is not None
                         else -(cfg.p_max + self.hover.total))
@@ -183,8 +181,7 @@ class VlcUavEnv:
             velocity = clamp_velocity(self._uav, v_raw, self.flight_cfg)
         else:
             velocity = v_raw
-        return AllocationAction(w=w, selection=selection, i_dc=self.i_dc,
-                                velocity=velocity)
+        return AllocationAction(w=w, selection=selection, velocity=velocity)
 
     def step(self, raw: np.ndarray) -> Transition:
         if self._done:
@@ -192,14 +189,7 @@ class VlcUavEnv:
         obs = self._obs
         action = self.decode_action(raw)
         p_prop = propulsion_power(action.velocity, self.rotor, self.hover)
-        report = check_p1_feasibility(
-            w=action.w, selection=action.selection, i_dc=action.i_dc,
-            v_next=action.velocity, h_true=self._channels.true_gain,
-            noise_var=self._channels.noise_var, uav_state=self._uav,
-            flight_cfg=self.flight_cfg, dim_cfg=self.dim_cfg, qos=self.qos,
-            p_propulsion=p_prop, amp_efficiency=self.cfg.amp_efficiency,
-            conversion_factor=self.cfg.conversion_factor,
-            circuit_power=self.cfg.circuit_power)
+        report = check_p1_feasibility(self, action, p_prop)
         power = report["power"]
         if report["feasible"]:
             reward = -power.total

@@ -35,14 +35,6 @@ from .sac import (NETS, ReplayBuffer, SacAgent, learn_online,
 TASK_STREAM, AGENT_STREAM = 7, 9      # key parts of a unit's two generators
 
 
-def query_grads(adapted: SacAgent, batch: dict):
-    """(ga, g1, g2, losses): the actor's and both critics' gradients of
-    `adapted` on a query batch, and the three losses."""
-    (g1, l1), (g2, l2) = adapted.critic_grads(batch)
-    ga, la = adapted.actor_grads(batch)
-    return ga, g1, g2, {"actor": la, "critic1": l1, "critic2": l2}
-
-
 class MetaSac:
     def __init__(self, cfg: SystemConfig, obs_dim: int, act_dim: int,
                  seed: int = 0):
@@ -69,9 +61,9 @@ class MetaSac:
     def outer_update(self, grads) -> dict:
         """One global ADAM step on the summed query gradients (first order).
 
-        `grads` yields each task's `query_grads`, in task order, and they
-        are summed in that order: the step does not depend on which process
-        computed them.
+        `grads` yields each task's `SacAgent.grads` on its query batch, in
+        task order, and they are summed in that order: the step does not
+        depend on which process computed them.
         """
         sums = None
         losses = {"actor": 0.0, "critic1": 0.0, "critic2": 0.0}
@@ -97,10 +89,13 @@ class MetaSac:
 
         The tasks run on up to `workers` forked processes (None: every
         available CPU; see `procs.fork_context`); the results do not depend
-        on it. Refuses, before any rollout, a config whose first iteration
-        leaves a task buffer too small to split into support and query
-        sets.
+        on it. Refuses, before it samples any task, a negative
+        `iterations`, and a config whose first iteration leaves a task
+        buffer too small to split into support and query sets.
         """
+        if iterations < 0:
+            raise ValueError(f"iterations must be at least 0, got "
+                             f"{iterations}")
         cfg = self.cfg
         require_split(min(cfg.buffer_capacity,
                           cfg.n_slots * cfg.episodes_per_task))
@@ -118,7 +113,8 @@ class MetaSac:
     def _task_unit(self, env: VlcUavEnv, buf: ReplayBuffer, it: int,
                   k: int):
         """Unit (it, k): roll task k's episodes into its buffer, adapt a
-        clone of the global agent on the support rows; its `query_grads`.
+        clone of the global agent on the support rows; its `grads` on a
+        query batch.
         """
         cfg = self.cfg
         rng = np.random.default_rng([self.seed, TASK_STREAM, it, k])
@@ -135,8 +131,7 @@ class MetaSac:
             rollout(env, policy, int(rng.integers(2**31)), buf.store)
         support_idx, query_idx = buf.split_indices(cfg.support_fraction, rng)
         self.inner_adapt(adapted, buf, support_idx, cfg.inner_steps, rng)
-        return query_grads(adapted, buf.sample(cfg.batch_size, rng,
-                                               query_idx))
+        return adapted.grads(buf.sample(cfg.batch_size, rng, query_idx))
 
     def meta_adapt(self, task: Task, episodes: int,
                    seed: int = 0) -> SacAgent:

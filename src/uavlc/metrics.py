@@ -18,7 +18,11 @@ rounds it differently: the two differed in the last bit on 13,118 of 20,000
 random cases with K = 1..8, and a last-bit change can swap near-equal
 users in the decoding order and so change every result after it.
 
-`check_p1_feasibility` forms the masked magnitudes |w| on active LEDs once
+`check_p1_feasibility(env, action, p_propulsion)` takes the slot's
+beamformer, LED selection and velocity from the decoded action, and the
+channels, UAV state and per-env constants (rate floor, power budget and
+coefficients, flight and dimming sets, DC bias, dynamic-range bound) from
+the env, which works each constant out once. It forms the masked magnitudes |w| on active LEDs once
 and takes both the transmit power (sum over all entries) and the C3 row
 sums from them. It compares the rates (C1) and row sums (C3) as Python
 floats, the same IEEE comparisons numpy makes, NaN included.
@@ -30,9 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dimming import (LedSelection, beamforming_bound, dimming_level_of,
-                      DimmingConfig, is_binary)
-from .uav import UavState, check_flight, FlightConfig
+from .dimming import LedSelection, dimming_level_of, is_binary
+from .uav import check_flight
 
 # the constraints of problem P1 that a slot report checks, in report order
 CONSTRAINTS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "RTS")
@@ -58,16 +61,6 @@ class RateReport:
     @property
     def sum_rate(self) -> float:
         return float(self.rates.sum())
-
-
-@dataclass
-class QosConfig:
-    r_min: float    # [bits/s/Hz]
-    p_max: float    # [W]
-
-    def __post_init__(self):
-        if self.r_min <= 0 or self.p_max <= 0:
-            raise ValueError("r_min and p_max must be positive")
 
 
 def effective_gains(h: np.ndarray, w: np.ndarray,
@@ -144,34 +137,37 @@ def energy_efficiency(sum_rate: float, p_total: float) -> float:
     return sum_rate / p_total
 
 
-def check_p1_feasibility(w: np.ndarray, selection: LedSelection, i_dc: float,
-                         v_next: np.ndarray, h_true: np.ndarray,
-                         noise_var: np.ndarray, uav_state: UavState,
-                         flight_cfg: FlightConfig, dim_cfg: DimmingConfig,
-                         qos: QosConfig, p_propulsion: float,
-                         amp_efficiency: float, conversion_factor: float,
-                         circuit_power: float) -> dict:
+def check_p1_feasibility(env, action, p_propulsion: float) -> dict:
     """Per-constraint boolean report for the full problem at one slot.
 
-    C1 is evaluated against true channels. C4 (the kinematic update rule)
-    holds by construction of the environment stepper. RTS is the
-    return-to-start boundary condition attached to the final slot.
+    Reads `action.w`, `action.selection` and `action.velocity` (the next
+    slot velocity); `env.channels` (`true_gain`, `noise_var`) and
+    `env.uav_state`; `env.cfg.r_min`, `env.cfg.p_max`,
+    `env.cfg.amp_efficiency`, `env.cfg.conversion_factor` and
+    `env.cfg.circuit_power`; `env.flight_cfg`, `env.dim_cfg`, `env.i_dc`
+    and `env.bound`. C1 is evaluated against true channels. C4 (the
+    kinematic update rule) holds by construction of the environment
+    stepper. RTS is the return-to-start boundary condition attached to the
+    final slot.
     """
+    w, selection = action.w, action.selection
+    cfg, h_true = env.cfg, env.channels.true_gain
     order = order_users(h_true, w, selection)
-    report_rates = per_user_rate(h_true, w, selection, noise_var, order)
+    report_rates = per_user_rate(h_true, w, selection,
+                                 env.channels.noise_var, order)
     magnitudes = active_magnitudes(w, selection)
     n_a = selection.n_active
-    power = _power(magnitudes, n_a, i_dc, p_propulsion, amp_efficiency,
-                   conversion_factor, circuit_power)
-    flight = check_flight(uav_state, v_next, flight_cfg)
-    bound = beamforming_bound(i_dc, dim_cfg.i_low, dim_cfg.i_high)
-    eta_back = dimming_level_of(n_a, i_dc, dim_cfg)
-    rate_floor = qos.r_min - 1e-12
-    row_limit = bound * (1.0 + 1e-9) + 1e-15
+    power = _power(magnitudes, n_a, env.i_dc, p_propulsion,
+                   cfg.amp_efficiency, cfg.conversion_factor,
+                   cfg.circuit_power)
+    flight = check_flight(env.uav_state, action.velocity, env.flight_cfg)
+    eta_back = dimming_level_of(n_a, env.i_dc, env.dim_cfg)
+    rate_floor = cfg.r_min - 1e-12
+    row_limit = env.bound * (1.0 + 1e-9) + 1e-15
     c1 = all(r >= rate_floor for r in report_rates.rates.tolist())
-    c2 = power.total <= qos.p_max * (1.0 + 1e-12)
+    c2 = power.total <= cfg.p_max * (1.0 + 1e-12)
     c3 = all(s <= row_limit for s in magnitudes.sum(axis=1).tolist())
-    c8 = abs(eta_back - dim_cfg.eta) <= 1e-9
+    c8 = abs(eta_back - env.dim_cfg.eta) <= 1e-9
     c9 = is_binary(selection.a) and n_a >= 1
     return {
         "C1": c1, "C2": c2, "C3": c3, "C4": True,

@@ -259,12 +259,18 @@ class SacAgent:
         soft_update(self.tq1, self.q1, self.cfg.polyak)
         soft_update(self.tq2, self.q2, self.cfg.polyak)
 
-    def update(self, batch: dict):
-        """One simultaneous SAC step: both grads at current parameters."""
+    def grads(self, batch: dict):
+        """(ga, g1, g2, losses): the actor's and both critics' gradients on
+        `batch` at the current parameters, and the three losses."""
         (g1, l1), (g2, l2) = self.critic_grads(batch)
         ga, la = self.actor_grads(batch)
+        return ga, g1, g2, {"actor": la, "critic1": l1, "critic2": l2}
+
+    def update(self, batch: dict) -> dict:
+        """One simultaneous SAC step on `grads`; its losses."""
+        ga, g1, g2, losses = self.grads(batch)
         self.apply_grads(ga, g1, g2)
-        return la, l1, l2
+        return losses
 
     # -- cloning and checkpoints --
 

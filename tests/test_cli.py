@@ -319,6 +319,7 @@ def test_paper_literal_flag(cfg_path, tmp_path):
      "--seeds", "1", "--eval-episodes", "0"],
     ["eval", "--scheme", "random", "--episodes", "0"],
     ["adapt", "--checkpoint", "unused.npz", "--episodes", "0"],
+    ["meta-train", "--iterations", "0"],
 ])
 def test_no_evaluation_episode_is_a_one_line_usage_error(cfg_path, tmp_path,
                                                         capsys, command):

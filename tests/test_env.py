@@ -40,7 +40,6 @@ def test_decoded_actions_respect_dynamic_range_and_selection(env):
         assert np.all(row_sums <= env.bound * (1 + 1e-9))
         assert act.selection.n_active == env.n_active
         assert np.all(act.w[act.selection.a == 0] == 0.0)
-        assert act.i_dc == env.i_dc
 
 
 def test_decoded_velocity_is_clamped(env):

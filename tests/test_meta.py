@@ -9,7 +9,6 @@ import pytest
 
 from uavlc import MetaSac, ReplayBuffer, VlcUavEnv, sample_task
 from uavlc.harness import parallel_map, worker_count
-from uavlc.meta import query_grads
 from uavlc.sac import NETS
 
 from conftest import small_config, time_limit
@@ -62,7 +61,7 @@ def test_outer_update_degenerates_to_plain_sac_step():
     plain = meta.agent.clone()
     buf = filled_buffer(probe, 40, seed=1)
     batch = buf.get(np.arange(cfg.batch_size))
-    meta.outer_update([query_grads(meta.agent.clone(), batch)])
+    meta.outer_update([meta.agent.clone().grads(batch)])
     plain.update(batch)
     for name in ("actor", "q1", "q2", "tq1", "tq2"):
         assert np.array_equal(getattr(meta.agent, name).flat.copy(),
@@ -83,7 +82,7 @@ def test_outer_update_refuses_a_non_finite_query_loss():
     batch["rew"][0] = np.inf
     before = meta.agent.q1.flat.copy()
     with pytest.raises(ValueError, match="network q1"):
-        meta.outer_update([query_grads(meta.agent.clone(), batch)])
+        meta.outer_update([meta.agent.clone().grads(batch)])
     assert np.array_equal(meta.agent.q1.flat.copy(), before)
 
 
@@ -160,6 +159,22 @@ def test_meta_train_holds_one_adapted_agent_at_a_time(monkeypatch):
     meta.meta_train(lambda: sample_task(cfg, rng), iterations=2, workers=1)
     assert len(refs) == 2 * cfg.meta_task_count
     assert [r for r in refs if r() is not None] == []
+
+
+def test_meta_train_refuses_negative_iterations_before_any_task():
+    cfg, probe, meta = meta_setup()
+    sampled = []
+
+    def sampler():
+        sampled.append(1)
+        return sample_task(cfg, np.random.default_rng(6))
+
+    with pytest.raises(ValueError, match="iterations must be at least 0, "
+                                         "got -3"):
+        meta.meta_train(sampler, iterations=-3)
+    assert sampled == [] and meta.iteration == 0
+    assert meta.meta_train(sampler, iterations=0, workers=1) == []
+    assert meta.iteration == 0
 
 
 def test_meta_checkpoint_round_trip(tmp_path):

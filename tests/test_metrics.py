@@ -1,13 +1,15 @@
 """Rate/power accounting against hand-computed oracles."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from uavlc import (DimmingConfig, FlightConfig, LedSelection, QosConfig,
-                   UavState, check_p1_feasibility, energy_efficiency,
-                   per_user_rate, total_power)
+from uavlc import (AllocationAction, ChannelState, DimmingConfig,
+                   FlightConfig, LedSelection, UavState, beamforming_bound,
+                   check_p1_feasibility, energy_efficiency, per_user_rate,
+                   total_power)
 from uavlc.metrics import RateReport, effective_gains, order_users
 
 # two LEDs, two users, co-located columns
@@ -136,6 +138,7 @@ def test_energy_efficiency():
 
 
 def _feasibility_setup():
+    """An env-like object and a decoded action the report reads."""
     dim = DimmingConfig(eta=1.0, i_low=0.0, i_high=0.010, n_leds=2)
     flight = FlightConfig(slot_duration=1.0, n_slots=10, v_max=10.0,
                           a_max=6.0, q_min=np.zeros(3),
@@ -145,57 +148,53 @@ def _feasibility_setup():
                      velocity=np.zeros(3), slot=0)
     h = np.array([[2.0, 1.0], [2.0, 1.0]])
     w = np.array([[0.001, 0.002], [0.001, 0.002]])
-    kw = dict(w=w, selection=SEL, i_dc=0.005, v_next=np.zeros(3),
-              h_true=h, noise_var=np.array([1e-8, 1e-8]), uav_state=state,
-              flight_cfg=flight, dim_cfg=dim,
-              qos=QosConfig(r_min=0.01, p_max=100.0), p_propulsion=10.0,
-              amp_efficiency=1.2, conversion_factor=1.0, circuit_power=1.0)
-    return kw
+    env = SimpleNamespace(
+        cfg=SimpleNamespace(r_min=0.01, p_max=100.0, amp_efficiency=1.2,
+                            conversion_factor=1.0, circuit_power=1.0),
+        channels=ChannelState(true_gain=h, est_gain=h,
+                              noise_var=np.array([1e-8, 1e-8])),
+        uav_state=state, flight_cfg=flight, dim_cfg=dim, i_dc=0.005,
+        bound=beamforming_bound(0.005, dim.i_low, dim.i_high))
+    action = AllocationAction(w=w, selection=SEL, velocity=np.zeros(3))
+    return env, action
 
 
 def test_check_p1_feasibility_all_satisfied():
-    report = check_p1_feasibility(**_feasibility_setup())
+    report = check_p1_feasibility(*_feasibility_setup(), 10.0)
     for c in ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "RTS"):
         assert report[c], c
     assert report["feasible"]
 
 
 def test_check_p1_flags_power_budget():
-    kw = _feasibility_setup()
-    kw["qos"] = QosConfig(r_min=0.01, p_max=5.0)
-    report = check_p1_feasibility(**kw)
+    env, action = _feasibility_setup()
+    env.cfg.p_max = 5.0
+    report = check_p1_feasibility(env, action, 10.0)
     assert not report["C2"]
     assert not report["feasible"]
 
 
 def test_check_p1_flags_rate_floor():
-    kw = _feasibility_setup()
-    kw["qos"] = QosConfig(r_min=50.0, p_max=100.0)
-    assert not check_p1_feasibility(**kw)["C1"]
+    env, action = _feasibility_setup()
+    env.cfg.r_min = 50.0
+    assert not check_p1_feasibility(env, action, 10.0)["C1"]
 
 
 def test_check_p1_flags_dynamic_range():
-    kw = _feasibility_setup()
-    kw["w"] = np.full((2, 2), 0.004)  # row sum 0.008 > bound 0.005
-    assert not check_p1_feasibility(**kw)["C3"]
+    env, action = _feasibility_setup()
+    action.w = np.full((2, 2), 0.004)  # row sum 0.008 > bound 0.005
+    assert not check_p1_feasibility(env, action, 10.0)["C3"]
 
 
 def test_check_p1_flags_dimming_consistency():
-    kw = _feasibility_setup()
-    kw["i_dc"] = 0.004  # inconsistent with eta=1, both LEDs active
-    assert not check_p1_feasibility(**kw)["C8"]
+    env, action = _feasibility_setup()
+    env.i_dc = 0.004  # inconsistent with eta=1, both LEDs active
+    assert not check_p1_feasibility(env, action, 10.0)["C8"]
 
 
 def test_check_p1_flags_flight_violations():
-    kw = _feasibility_setup()
-    kw["v_next"] = np.array([20.0, 0.0, 0.0])  # C6 and C7 at once
-    report = check_p1_feasibility(**kw)
+    env, action = _feasibility_setup()
+    action.velocity = np.array([20.0, 0.0, 0.0])  # C6 and C7 at once
+    report = check_p1_feasibility(env, action, 10.0)
     assert not report["C6"]
     assert not report["C7"]
-
-
-def test_qos_config_validation():
-    with pytest.raises(ValueError):
-        QosConfig(r_min=0.0, p_max=1.0)
-    with pytest.raises(ValueError):
-        QosConfig(r_min=1.0, p_max=0.0)

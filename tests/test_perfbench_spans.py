@@ -37,4 +37,8 @@ def test_tracer_wraps_and_restores_every_trace_point():
         assert not hasattr(vars(owner)[attr], "__wrapped__"), name
     assert tracer.calls["env.step"] == cfg.n_slots
     assert tracer.calls["metrics.check_p1_feasibility"] == cfg.n_slots
+    # the check's kernels are looked up in uavlc.metrics, where they are
+    # traced
+    assert tracer.calls["metrics.per_user_rate"] == cfg.n_slots
+    assert tracer.calls["metrics.order_users"] == cfg.n_slots
     assert tracer.episodes == 1 and tracer.rows == cfg.n_slots

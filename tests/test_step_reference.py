@@ -10,12 +10,13 @@ form, whose last bits differ from the earlier form's.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from uavlc import (DimmingConfig, FlightConfig, LedSelection, OpticsParams,
-                   QosConfig, UavState, VlcUavEnv, check_flight,
+                   UavState, VlcUavEnv, check_flight,
                    check_p1_feasibility, channel_matrix, clamp_velocity,
                    los_channel_gain, project_beamformer, sample_task)
 from uavlc.channel import (ChannelState, concentrator_gain, lambertian_order,
@@ -202,8 +203,7 @@ class ReferenceEnv(VlcUavEnv):
                                                 self.flight_cfg)
         else:
             velocity = v_raw
-        return AllocationAction(w=w, selection=selection, i_dc=self.i_dc,
-                                velocity=velocity)
+        return AllocationAction(w=w, selection=selection, velocity=velocity)
 
     def step(self, raw):
         if self._done:
@@ -212,10 +212,10 @@ class ReferenceEnv(VlcUavEnv):
         action = self.decode_action(raw)
         p_prop = reference_propulsion_power(action.velocity, self.rotor)
         report = reference_check_p1_feasibility(
-            w=action.w, selection=action.selection, i_dc=action.i_dc,
+            w=action.w, selection=action.selection, i_dc=self.i_dc,
             v_next=action.velocity, h_true=self._channels.true_gain,
             noise_var=self._channels.noise_var, uav_state=self._uav,
-            flight_cfg=self.flight_cfg, dim_cfg=self.dim_cfg, qos=self.qos,
+            flight_cfg=self.flight_cfg, dim_cfg=self.dim_cfg, qos=self.cfg,
             p_propulsion=p_prop, amp_efficiency=self.cfg.amp_efficiency,
             conversion_factor=self.cfg.conversion_factor,
             circuit_power=self.cfg.circuit_power)
@@ -359,7 +359,8 @@ def test_project_beamformer_matches_reference_bitwise():
 def test_check_p1_feasibility_matches_reference_bitwise():
     rng = np.random.default_rng(3)
     dim = DimmingConfig(eta=0.7, i_low=0.0, i_high=0.01, n_leds=10)
-    qos = QosConfig(r_min=0.5, p_max=5.0)
+    cfg = SimpleNamespace(r_min=0.5, p_max=5.0, amp_efficiency=1.2,
+                          conversion_factor=1.0, circuit_power=0.5)
     outcomes = set()
     for _ in range(3000):
         k = int(rng.integers(1, 9))
@@ -381,10 +382,17 @@ def test_check_p1_feasibility_matches_reference_bitwise():
         kwargs = dict(w=w, selection=sel, i_dc=i_dc, v_next=v, h_true=h,
                       noise_var=np.full(k, 10.0 ** rng.uniform(-20, -14)),
                       uav_state=state, flight_cfg=FLIGHT, dim_cfg=dim,
-                      qos=qos, p_propulsion=float(rng.uniform(0.0, 6.0)),
-                      amp_efficiency=1.2, conversion_factor=1.0,
-                      circuit_power=0.5)
-        got = check_p1_feasibility(**kwargs)
+                      qos=cfg, p_propulsion=float(rng.uniform(0.0, 6.0)),
+                      amp_efficiency=cfg.amp_efficiency,
+                      conversion_factor=cfg.conversion_factor,
+                      circuit_power=cfg.circuit_power)
+        env = SimpleNamespace(
+            cfg=cfg, channels=ChannelState(true_gain=h, est_gain=h,
+                                           noise_var=kwargs["noise_var"]),
+            uav_state=state, flight_cfg=FLIGHT, dim_cfg=dim, i_dc=i_dc,
+            bound=bound)
+        action = AllocationAction(w=w, selection=sel, velocity=v)
+        got = check_p1_feasibility(env, action, kwargs["p_propulsion"])
         want = reference_check_p1_feasibility(**kwargs)
         assert got.keys() == want.keys()
         for key in want:
