@@ -22,10 +22,11 @@ users in the decoding order and so change every result after it.
 beamformer, LED selection and velocity from the decoded action, and the
 channels, UAV state and per-env constants (rate floor, power budget and
 coefficients, flight and dimming sets, DC bias, dynamic-range bound) from
-the env, which works each constant out once. It forms the masked magnitudes |w| on active LEDs once
-and takes both the transmit power (sum over all entries) and the C3 row
-sums from them. It compares the rates (C1) and row sums (C3) as Python
-floats, the same IEEE comparisons numpy makes, NaN included.
+the env, which works each constant out once. It forms the masked
+magnitudes |w| on active LEDs once and takes both the transmit power (sum
+over all entries) and the C3 row sums from them. It compares the rates
+(C1) and row sums (C3) as Python floats, the same IEEE comparisons numpy
+makes, NaN included.
 """
 
 from __future__ import annotations
