@@ -14,7 +14,7 @@ import numpy as np
 from .baselines import GreedyPolicy, RandomPolicy
 from .config import load_config
 from .env import VlcUavEnv, rollout, sample_task
-from .harness import (SCHEMES, SWEEP_VARS, ExperimentSpec, ResultFileError,
+from .harness import (SCHEMES, SWEEP_VARS, ExperimentSpec, SweepRefused,
                       derive_seed, evaluate, make_agent_policy,
                       meta_train_for, run_experiment)
 from .meta import MetaSac
@@ -91,7 +91,7 @@ def cmd_simulate(args):
     env.trace.write_csv(args.out)
     print(f"episode trace ({len(env.trace.rows)} slots) -> {args.out}")
     print(f"mean P_Tot: {env.trace.mean('p_total'):.3f} W, "
-          f"feasible fraction: {env.trace.feasibility_fraction():.2f}")
+          f"feasible fraction: {env.trace.mean('feasible'):.2f}")
 
 
 def cmd_train(args):
@@ -152,7 +152,7 @@ def cmd_sweep(args):
         raise UsageError(err) from err
     try:
         rows = run_experiment(spec, cfg, workers=_workers(args))
-    except ResultFileError as err:
+    except SweepRefused as err:
         raise UsageError(err) from err
     print(f"{len(rows)} rows -> {spec.out_path}")
 

@@ -175,6 +175,10 @@ class SystemConfig:
             value = getattr(self, name)
             req(value >= least,
                 f"{name} must be at least {least}, got {value}")
+        # a buffer smaller than a batch never serves one: no update runs
+        req(self.batch_size <= self.buffer_capacity,
+            f"batch_size must be at most buffer_capacity "
+            f"{self.buffer_capacity}, got {self.batch_size}")
         req(all(h >= 1 for h in self.hidden_sizes),
             f"hidden_sizes must be at least 1, got {self.hidden_sizes}")
         for name in ("lr_actor", "lr_critic1", "lr_critic2", "lr_inner"):

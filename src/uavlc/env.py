@@ -26,7 +26,7 @@ from .channel import (ChannelState, channel_matrix, los_channel_gain,
 from .config import SystemConfig
 from .dimming import (LedSelection, active_led_count, beamforming_bound,
                       dc_bias_for, project_beamformer, select_leds)
-from .metrics import CONSTRAINTS, check_p1_feasibility
+from .metrics import check_p1_feasibility
 from .uav import (UavState, clamp_velocity, hover_power, propulsion_power,
                   step_kinematics)
 
@@ -66,14 +66,8 @@ class Transition:
 class EpisodeTrace:
     rows: list = field(default_factory=list)
 
-    def append(self, row: dict):
-        self.rows.append(row)
-
     def mean(self, key: str) -> float:
         return float(np.mean([r[key] for r in self.rows]))
-
-    def feasibility_fraction(self) -> float:
-        return float(np.mean([r["feasible"] for r in self.rows]))
 
     def write_csv(self, path: str):
         if not self.rows:
@@ -190,14 +184,15 @@ class VlcUavEnv:
         action = self.decode_action(raw)
         p_prop = propulsion_power(action.velocity, self.rotor, self.hover)
         report = check_p1_feasibility(self, action, p_prop)
-        power = report["power"]
         if report["feasible"]:
-            reward = -power.total
+            reward = -report["p_total"]
         elif self.cfg.reward_mode == "paper":
             reward = 0.0
         else:
             reward = self.penalty
-        self._record(report, action, reward)
+        x, y, z = self._uav.position.tolist()
+        self.trace.rows.append({"slot": self._uav.slot, "reward": reward,
+                                **report, "x": x, "y": y, "z": z})
         self._uav = step_kinematics(self._uav, action.velocity,
                                     self.flight_cfg)
         self._refresh_channels()
@@ -222,27 +217,6 @@ class VlcUavEnv:
                 uav.velocity / self.cfg.v_max,
                 [uav.slot / self.cfg.n_slots]])
         self._obs = chan
-
-    def _record(self, report: dict, action: AllocationAction, reward: float):
-        power = report["power"]
-        rates = report["rates"]
-        row = {
-            "slot": self._uav.slot,
-            "reward": reward,
-            "p_transmit": power.transmit,
-            "p_bias": power.bias,
-            "p_circuit": power.circuit,
-            "p_propulsion": power.propulsion,
-            "p_total": power.total,
-            "sum_rate": rates.sum_rate,
-        }
-        for k, rate in enumerate(rates.rates.tolist()):
-            row[f"rate_{k}"] = rate
-        for c in CONSTRAINTS:
-            row[c] = int(report[c])
-        row["feasible"] = int(report["feasible"])
-        row["x"], row["y"], row["z"] = self._uav.position.tolist()
-        self.trace.append(row)
 
     # read-only views for baselines and diagnostics
 

@@ -88,6 +88,12 @@ class ExperimentSpec:
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ValueError(f"unknown scheme {s!r}")
+        # a repeat's rows would share their CSV keys
+        for what, items in (("sweep value", self.sweep_values),
+                            ("scheme", self.schemes)):
+            for i, item in enumerate(items):
+                if item in items[:i]:
+                    raise ValueError(f"{what} {item!r} is repeated")
 
 
 @dataclass
@@ -170,7 +176,7 @@ def evaluate(env: VlcUavEnv, policy, episodes: int, seed: int) -> dict:
         ee.append(float(np.mean([energy_efficiency(r["sum_rate"],
                                                    r["p_total"])
                                  for r in trace.rows])))
-        feas.append(trace.feasibility_fraction())
+        feas.append(trace.mean("feasible"))
     return {"mean_p_tot": float(np.mean(p_tot)),
             "mean_sum_rate": float(np.mean(sum_rate)),
             "mean_ee": float(np.mean(ee)),
@@ -246,7 +252,13 @@ _FIELDS = ["scheme", "sweep_var", "sweep_value", "seed", "mean_p_tot",
            "mean_sum_rate", "mean_ee", "feasibility_fraction"]
 
 
-class ResultFileError(ValueError):
+class SweepRefused(ValueError):
+    """A sweep `run_experiment` refuses before it writes a row: one whose
+    sweep value makes an invalid config, or (`ResultFileError`) one whose
+    result file it cannot open or resume; the message says why."""
+
+
+class ResultFileError(SweepRefused):
     """A result file a sweep refuses: one it cannot open, or one it cannot
     resume; the message says why."""
 
@@ -290,12 +302,19 @@ def run_experiment(spec: ExperimentSpec, cfg: SystemConfig,
                    workers: int | None = None) -> list[ResultRow]:
     """Run the sweep and append its missing rows to the CSV.
 
-    Rows whose key the CSV already holds are read back, not recomputed, so
-    a cut-short sweep resumes where it stopped. The other units run on up
-    to `workers` processes (None: every available CPU; see
-    `parallel_map`); the CSV and the returned rows do not depend on it.
+    A sweep value that makes an invalid config is refused (`SweepRefused`)
+    before the CSV is opened. Rows whose key the CSV already holds are read
+    back, not recomputed, so a cut-short sweep resumes where it stopped.
+    The other units run on up to `workers` processes (None: every
+    available CPU; see `parallel_map`); the CSV and the returned rows do
+    not depend on it.
     """
     worker_count(workers, 0)    # refuse workers < 1 before touching the file
+    try:
+        cfgs = [_apply_sweep(cfg, spec.sweep_var, value)
+                for value in spec.sweep_values]
+    except ValueError as e:
+        raise SweepRefused(str(e)) from e
     base_hash = cfg.config_hash()
     try:
         saved = _saved_rows(spec.out_path, base_hash)
@@ -304,17 +323,14 @@ def run_experiment(spec: ExperimentSpec, cfg: SystemConfig,
     except OSError as e:
         raise ResultFileError(f"{spec.out_path} cannot be opened as a "
                               f"result file: {e.strerror or e}") from e
-    plan, todo, seen = [], [], set(saved)
+    plan, todo = [], []
     for i, value in enumerate(spec.sweep_values):
         for seed in range(spec.seeds):
             for scheme in spec.schemes:
                 row_key = _row_key(scheme, spec.sweep_var, value, seed)
                 plan.append((row_key, i, seed, scheme))
-                if row_key not in seen:
-                    seen.add(row_key)
+                if row_key not in saved:
                     todo.append((i, seed, scheme))
-    cfgs = [_apply_sweep(cfg, spec.sweep_var, value)
-            for value in spec.sweep_values]
     with out:
         writer = csv.writer(out)
         if new_file:

@@ -90,8 +90,9 @@ class MetaSac:
         The tasks run on up to `workers` forked processes (None: every
         available CPU; see `procs.fork_context`); the results do not depend
         on it. Refuses, before it samples any task, a negative
-        `iterations`, and a config whose first iteration leaves a task
-        buffer too small to split into support and query sets.
+        `iterations`, a config whose first iteration leaves a task buffer
+        too small to split into support and query sets, and one whose
+        warm-up outlasts a full task buffer.
         """
         if iterations < 0:
             raise ValueError(f"iterations must be at least 0, got "
@@ -99,6 +100,10 @@ class MetaSac:
         cfg = self.cfg
         require_split(min(cfg.buffer_capacity,
                           cfg.n_slots * cfg.episodes_per_task))
+        if cfg.warmup_steps > cfg.buffer_capacity:    # would never end
+            raise ValueError(f"warmup_steps {cfg.warmup_steps} exceeds "
+                             f"buffer_capacity {cfg.buffer_capacity}, the "
+                             f"most rows a task buffer holds")
         tasks = [task_sampler() for _ in range(cfg.meta_task_count)]
         self.task_seeds = [t.seed for t in tasks]
         history = []

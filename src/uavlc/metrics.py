@@ -22,11 +22,12 @@ users in the decoding order and so change every result after it.
 beamformer, LED selection and velocity from the decoded action, and the
 channels, UAV state and per-env constants (rate floor, power budget and
 coefficients, flight and dimming sets, DC bias, dynamic-range bound) from
-the env, which works each constant out once. It forms the masked
-magnitudes |w| on active LEDs once and takes both the transmit power (sum
-over all entries) and the C3 row sums from them. It compares the rates
-(C1) and row sums (C3) as Python floats, the same IEEE comparisons numpy
-makes, NaN included.
+the env, which works each constant out once, and returns the outcome
+columns of the slot's trace row. It forms the masked magnitudes |w| on
+active LEDs once and takes both the transmit power (sum over all entries)
+and the C3 row sums from them, and lists the rates once for both C1 and
+the rate columns. It compares the rates (C1) and row sums (C3) as Python
+floats, the same IEEE comparisons numpy makes, NaN included.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 from .dimming import LedSelection, dimming_level_of, is_binary
 from .uav import check_flight
 
-# the constraints of problem P1 that a slot report checks, in report order
+# the constraints of problem P1 that a slot report checks, in row order
 CONSTRAINTS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "RTS")
 
 
@@ -139,46 +140,46 @@ def energy_efficiency(sum_rate: float, p_total: float) -> float:
 
 
 def check_p1_feasibility(env, action, p_propulsion: float) -> dict:
-    """Per-constraint boolean report for the full problem at one slot.
+    """The outcome columns of the slot's trace row, in trace order.
 
     Reads `action.w`, `action.selection` and `action.velocity` (the next
     slot velocity); `env.channels` (`true_gain`, `noise_var`) and
     `env.uav_state`; `env.cfg.r_min`, `env.cfg.p_max`,
     `env.cfg.amp_efficiency`, `env.cfg.conversion_factor` and
     `env.cfg.circuit_power`; `env.flight_cfg`, `env.dim_cfg`, `env.i_dc`
-    and `env.bound`. C1 is evaluated against true channels. C4 (the
-    kinematic update rule) holds by construction of the environment
-    stepper. RTS is the return-to-start boundary condition attached to the
-    final slot.
+    and `env.bound`. The columns: `p_transmit`, `p_bias`, `p_circuit`,
+    `p_propulsion`, `p_total`, `sum_rate`, `rate_0` ... `rate_{K-1}`, then
+    `CONSTRAINTS` and `feasible` as 0/1. C1 is evaluated against true
+    channels. C4 (the kinematic update rule) holds by construction of the
+    environment stepper. RTS is the return-to-start boundary condition
+    attached to the final slot.
     """
     w, selection = action.w, action.selection
     cfg, h_true = env.cfg, env.channels.true_gain
     order = order_users(h_true, w, selection)
-    report_rates = per_user_rate(h_true, w, selection,
-                                 env.channels.noise_var, order)
+    rates = per_user_rate(h_true, w, selection, env.channels.noise_var,
+                          order).rates
+    rate_list = rates.tolist()
     magnitudes = active_magnitudes(w, selection)
     n_a = selection.n_active
     power = _power(magnitudes, n_a, env.i_dc, p_propulsion,
                    cfg.amp_efficiency, cfg.conversion_factor,
                    cfg.circuit_power)
-    flight = check_flight(env.uav_state, action.velocity, env.flight_cfg)
     eta_back = dimming_level_of(n_a, env.i_dc, env.dim_cfg)
     rate_floor = cfg.r_min - 1e-12
     row_limit = env.bound * (1.0 + 1e-9) + 1e-15
-    c1 = all(r >= rate_floor for r in report_rates.rates.tolist())
-    c2 = power.total <= cfg.p_max * (1.0 + 1e-12)
-    c3 = all(s <= row_limit for s in magnitudes.sum(axis=1).tolist())
-    c8 = abs(eta_back - env.dim_cfg.eta) <= 1e-9
-    c9 = is_binary(selection.a) and n_a >= 1
-    return {
-        "C1": c1, "C2": c2, "C3": c3, "C4": True,
-        "C5": "C5" not in flight,
-        "C6": "C6" not in flight,
-        "C7": "C7" not in flight,
-        "C8": c8, "C9": c9,
-        "RTS": "RTS" not in flight,
-        # flight holds only the names of violated C5, C6, C7 and RTS
-        "feasible": c1 and c2 and c3 and c8 and c9 and not flight,
-        "rates": report_rates,
-        "power": power,
+    verdicts = {
+        "C1": all(r >= rate_floor for r in rate_list),
+        "C2": power.total <= cfg.p_max * (1.0 + 1e-12),
+        "C3": all(s <= row_limit for s in magnitudes.sum(axis=1).tolist()),
+        "C4": True,
+        **check_flight(env.uav_state, action.velocity, env.flight_cfg),
+        "C8": abs(eta_back - env.dim_cfg.eta) <= 1e-9,
+        "C9": is_binary(selection.a) and n_a >= 1,
     }
+    return {"p_transmit": power.transmit, "p_bias": power.bias,
+            "p_circuit": power.circuit, "p_propulsion": power.propulsion,
+            "p_total": power.total, "sum_rate": float(rates.sum()),
+            **{f"rate_{k}": rate for k, rate in enumerate(rate_list)},
+            **{c: int(verdicts[c]) for c in CONSTRAINTS},
+            "feasible": int(all(verdicts.values()))}

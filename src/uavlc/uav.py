@@ -98,28 +98,27 @@ def step_kinematics(state: UavState, v_next: np.ndarray,
 
 
 def check_flight(state: UavState, v_next: np.ndarray,
-                 cfg: FlightConfig) -> list[str]:
-    """Names of violated flight constraints for the proposed slot command.
+                 cfg: FlightConfig) -> dict[str, bool]:
+    """Whether the proposed slot command meets each flight constraint.
 
     C5: next position strictly inside the box; C6: acceleration bound;
     C7: speed bound; RTS: the step finishing the episode must land within
-    the return tolerance of the initial position.
+    the return tolerance of the initial position (every other step meets
+    it). A bound fails only where its comparison says so, so a NaN length
+    meets C6, C7 and RTS.
     """
     v_next = np.asarray(v_next, dtype=float)
     tau = cfg.slot_duration
-    violations = []
     next_pos = state.position + v_next * tau
     box = zip(cfg.q_min.tolist(), next_pos.tolist(), cfg.q_max.tolist())
-    if not all(lo < x < hi for lo, x, hi in box):
-        violations.append("C5")
-    if norm(v_next - state.velocity) > cfg.a_max * tau * (1 + 1e-12):
-        violations.append("C6")
-    if norm(v_next) > cfg.v_max * (1 + 1e-12):
-        violations.append("C7")
-    if state.slot + 1 == cfg.n_slots:
-        if norm(next_pos - cfg.q_init) > cfg.return_tolerance:
-            violations.append("RTS")
-    return violations
+    return {
+        "C5": all(lo < x < hi for lo, x, hi in box),
+        "C6": not (norm(v_next - state.velocity)
+                   > cfg.a_max * tau * (1 + 1e-12)),
+        "C7": not norm(v_next) > cfg.v_max * (1 + 1e-12),
+        "RTS": (state.slot + 1 != cfg.n_slots
+                or not norm(next_pos - cfg.q_init) > cfg.return_tolerance),
+    }
 
 
 def clamp_velocity(state: UavState, v_cmd: np.ndarray,

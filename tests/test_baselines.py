@@ -634,7 +634,7 @@ def test_greedy_policy_flies_legally_and_returns_home():
     for c in ("C3", "C6", "C7", "C9"):
         assert all(r[c] == 1 for r in rows), c
     assert rows[-1]["RTS"] == 1
-    assert env.trace.feasibility_fraction() >= 0.8
+    assert env.trace.mean("feasible") >= 0.8
 
 
 def test_greedy_policy_mostly_feasible_on_easy_task():

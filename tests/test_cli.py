@@ -267,6 +267,23 @@ def test_refused_sweep_spec_is_a_one_line_usage_error(cfg_path, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("var, value, message", [
+    ("K", "0", "config: need at least one user"),
+    ("R_min", "-1", "config: r_min and p_max must be positive"),
+], ids=["K-0", "R_min-negative"])
+def test_sweep_value_making_an_invalid_config_is_a_one_line_usage_error(
+        cfg_path, tmp_path, capsys, var, value, message):
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--config", cfg_path, "--var", var, "--values", value,
+              "--seeds", "1", "--scheme", "greedy", "--workers", "1",
+              "--out", str(out)])
+    assert exit_info.value.code == 2
+    [err] = capsys.readouterr().err.splitlines()
+    assert err == f"uavlc sweep: error: {message}"
+    assert not out.exists()
+
+
 def test_a_fault_inside_a_run_keeps_its_traceback(cfg_path, tmp_path,
                                                   monkeypatch):
     def fail(*args, **kwargs):

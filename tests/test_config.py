@@ -126,7 +126,8 @@ def test_validation_refuses_unusable_learning_fields():
                       ("hidden_sizes", (8, 0)), ("episodes_per_task", 0),
                       ("meta_task_count", 0), ("lr_actor", -1.0),
                       ("lr_inner", 0.0), ("polyak", 2.0), ("polyak", 0.0),
-                      ("inner_steps", -1), ("warmup_steps", -5)):
+                      ("inner_steps", -1), ("warmup_steps", -5),
+                      ("batch_size", 200000)):
         with pytest.raises(ValueError,
                            match=f"^config: {name} .*{re.escape(str(bad))}"):
             SystemConfig(**{name: bad})

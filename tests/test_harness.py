@@ -122,6 +122,20 @@ def test_spec_refuses_fractional_counts():
                        seeds=1, schemes=["random"], out_path="x.csv")
 
 
+def test_spec_refuses_repeated_sweep_values_and_schemes():
+    def spec(values, schemes):
+        return ExperimentSpec(scenario="t", sweep_var="R_min",
+                              sweep_values=values, seeds=1, schemes=schemes,
+                              out_path="x.csv")
+
+    # 1 and 1.0 are one sweep point: they would share the CSV rows
+    with pytest.raises(ValueError, match="sweep value 1.0 is repeated"):
+        spec([1, 0.5, 1.0], ["greedy"])
+    with pytest.raises(ValueError, match="scheme 'greedy' is repeated"):
+        spec([1], ["greedy", "random", "greedy"])
+    spec([1, 0.5], ["greedy", "random"])
+
+
 def test_spec_refuses_no_evaluation_and_negative_budgets():
     def spec(**budgets):
         return ExperimentSpec(scenario="t", sweep_var="K", sweep_values=[1],

@@ -141,6 +141,26 @@ def test_meta_train_refuses_unsplittable_buffers_before_any_step(
     assert steps == [] and meta.iteration == 0
 
 
+def test_meta_train_refuses_a_warmup_longer_than_the_buffer():
+    # a task buffer never holds more rows than its capacity, so the
+    # warm-up would never end and the agent would never act
+    cfg, probe, meta = meta_setup(buffer_capacity=20, warmup_steps=50)
+    sampled = []
+
+    def sampler():
+        sampled.append(1)
+        return sample_task(cfg, np.random.default_rng(6))
+
+    with pytest.raises(ValueError, match="warmup_steps 50 exceeds "
+                                         "buffer_capacity 20"):
+        meta.meta_train(sampler, iterations=1)
+    assert sampled == [] and meta.iteration == 0
+    cfg, probe, meta = meta_setup(buffer_capacity=20, warmup_steps=20)
+    rng = np.random.default_rng(6)
+    assert len(meta.meta_train(lambda: sample_task(cfg, rng), iterations=1,
+                               workers=1)) == 1
+
+
 def test_meta_train_holds_one_adapted_agent_at_a_time(monkeypatch):
     cfg, probe, meta = meta_setup(warmup_steps=5)
     refs = []

@@ -33,36 +33,36 @@ def test_step_kinematics():
 
 def test_check_flight_all_clear():
     s = state_at([50.0, 50.0, 25.0], [0.0, 0.0, 0.0])
-    assert check_flight(s, np.array([2.0, 0.0, 0.0]), FLIGHT) == []
+    assert check_flight(s, np.array([2.0, 0.0, 0.0]), FLIGHT) == {
+        "C5": True, "C6": True, "C7": True, "RTS": True}
 
 
 def test_check_flight_position_box():
     s = state_at([99.0, 50.0, 25.0], [0.0, 0.0, 0.0])
-    assert "C5" in check_flight(s, np.array([2.0, 0.0, 0.0]), FLIGHT)
+    assert not check_flight(s, np.array([2.0, 0.0, 0.0]), FLIGHT)["C5"]
     # landing exactly on the boundary violates the strict box
-    assert "C5" in check_flight(s, np.array([1.0, 0.0, 0.0]), FLIGHT)
+    assert not check_flight(s, np.array([1.0, 0.0, 0.0]), FLIGHT)["C5"]
 
 
 def test_check_flight_acceleration():
     s = state_at([50.0, 50.0, 25.0], [5.0, 0.0, 0.0])
-    assert "C6" in check_flight(s, np.array([-2.0, 0.0, 0.0]), FLIGHT)
-    assert "C6" not in check_flight(s, np.array([-1.0, 0.0, 0.0]), FLIGHT)
+    assert not check_flight(s, np.array([-2.0, 0.0, 0.0]), FLIGHT)["C6"]
+    assert check_flight(s, np.array([-1.0, 0.0, 0.0]), FLIGHT)["C6"]
 
 
 def test_check_flight_speed():
     s = state_at([50.0, 50.0, 25.0], [8.0, 0.0, 0.0])
-    assert "C7" in check_flight(s, np.array([11.0, 0.0, 0.0]), FLIGHT)
+    assert not check_flight(s, np.array([11.0, 0.0, 0.0]), FLIGHT)["C7"]
 
 
 def test_check_flight_return_to_start():
     s = state_at([55.0, 50.0, 25.0], [0.0, 0.0, 0.0], slot=9)
     # final slot must land within the return tolerance of q_init
-    assert "RTS" in check_flight(s, np.array([0.0, 0.0, 0.0]), FLIGHT)
-    assert "RTS" not in check_flight(s, np.array([-5.0, 0.0, 0.0]), FLIGHT)
+    assert not check_flight(s, np.array([0.0, 0.0, 0.0]), FLIGHT)["RTS"]
+    assert check_flight(s, np.array([-5.0, 0.0, 0.0]), FLIGHT)["RTS"]
     # same command one slot earlier carries no return condition
     s_mid = state_at([55.0, 50.0, 25.0], [0.0, 0.0, 0.0], slot=5)
-    assert "RTS" not in check_flight(s_mid, np.array([0.0, 0.0, 0.0]),
-                                     FLIGHT)
+    assert check_flight(s_mid, np.array([0.0, 0.0, 0.0]), FLIGHT)["RTS"]
 
 
 def test_clamp_velocity_enforces_both_limits():
