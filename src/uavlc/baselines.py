@@ -44,6 +44,19 @@ t_k = sqrt(gamma_f N / (S_k - gamma_f I_k)) on, and at no scale when
 S_k <= gamma_f I_k. The smallest scale is t* = max_k t_k; the design takes
 t* (1 + 1e-9), which covers the rounding of the exact rate test, capped at
 the dynamic-range bound.
+
+The slot makes few numpy calls, and each shortcut gives numpy's floats.
+The LED scores, the active column sums and the beam row sum call
+`np.add.reduce`, the reduction `ndarray.sum` and `ndarray.mean` call (the
+mean then divides by the row count, as here). The cascade orders the
+served users with Python's sort, which is stable as numpy's stable argsort
+is, on the same keys (positive gains). `least_floor_scale` sums each
+interference left to right, as `per_user_rate` does: the builtin `sum`
+compensates from Python 3.12 on, which would make the design depend on
+the Python version. The sweeps build each position's row and later
+positions once per call. The raw action is filled into one array and
+clipped once: the 0/1 LED scores pass the clip unchanged, and a division
+or a clip gives the same floats wherever its output is written.
 """
 
 from __future__ import annotations
@@ -102,11 +115,13 @@ def noma_cascade_amplitudes(gains: np.ndarray, r_min: float,
     users get zero: their floor is unreachable regardless of power.
     """
     gamma = float(2.0 ** r_min - 1.0)
-    served = np.flatnonzero(gains > 0.0)
+    gain_list = gains.tolist()
+    # the served users by ascending gain, ties by index (a stable sort)
+    order = sorted((i for i, g in enumerate(gain_list) if g > 0.0),
+                   key=gain_list.__getitem__)
     e2 = np.zeros(gains.shape[0])
-    if served.size == 0:
+    if not order:
         return e2
-    order = served[np.argsort(gains[served], kind="stable")]
     g = gains[order]
     # ratio[p][j] = (g_p / g_j)^2 over positions in decoding order
     ratio = ((g[:, None] / g[None, :]) ** 2).tolist()
@@ -176,19 +191,23 @@ def _cascade_sweeps(ratio: list, gamma: float, noise_var: float,
     the cap, settles or has run MAX_SWEEPS sweeps."""
     n = len(ratio)
     e = [gamma * noise_var] * n
+    grow = 1.0 + ORDER_MARGIN
+    # each position's row and later positions, built once for every sweep
+    backward = [(pos, ratio[pos], range(pos + 1, n))
+                for pos in range(n - 1, -1, -1)]
+    forward = range(1, n)
     for _ in range(MAX_SWEEPS):
         changed = False
-        for pos in range(n - 1, -1, -1):
-            row = ratio[pos]
+        for pos, row, later in backward:
             interference = 0.0
-            for j in range(pos + 1, n):
+            for j in later:
                 interference += e[j] * row[j]
             req = gamma * (interference + noise_var)
             if req > e[pos] * (1.0 + 1e-12):
                 e[pos] = req
                 changed = True
-        for pos in range(1, n):
-            floor = e[pos - 1] * (1.0 + ORDER_MARGIN)
+        for pos in forward:
+            floor = e[pos - 1] * grow
             if e[pos] < floor:
                 e[pos] = floor
                 changed = True
@@ -214,22 +233,25 @@ def cascade_beamformer(h_est: np.ndarray, selection: LedSelection,
     active = selection.a.astype(bool)
     n_a = selection.n_active
     r_target = r_min * (1.0 + HEADROOM)
-    # co-located array: per-LED gain equals the column mean over active rows
-    col_gain = h_est[active].mean(axis=0) if n_a else np.zeros(k_users)
+    # co-located array: per-LED gain equals the column mean over active
+    # rows
+    col_gain = (np.add.reduce(h_est[active], axis=0) / n_a if n_a
+                else np.zeros(k_users))
     eff_gain = col_gain * n_a
     e_req = noma_cascade_amplitudes(eff_gain, r_target, noise_var)
+    served = eff_gain > 0.0
     w = np.zeros((n, k_users))
     per_led = np.divide(e_req, eff_gain, out=np.zeros(k_users),
-                        where=eff_gain > 0.0)
+                        where=served)
     w[active] = per_led
-    row_sum = per_led.sum()
+    row_sum = np.add.reduce(per_led)
     if row_sum <= 0.0:
         return w
     t_cap = bound / row_sum
     if t_cap <= 1.0:
         return w * t_cap
 
-    t = least_floor_scale(h_est, w, selection, eff_gain > 0.0,
+    t = least_floor_scale(h_est, w, selection, served,
                           r_target * (1.0 - 1e-9), noise_var)
     return w * min(t * (1.0 + 1e-9), t_cap)
 
@@ -249,9 +271,13 @@ def least_floor_scale(h_est: np.ndarray, w: np.ndarray,
     t2 = 0.0
     for pos, k in enumerate(ks):
         if served[k]:
-            # the floor holds from t^2 margin >= need on
-            margin = cross[k][k] - gamma * sum(cross[k][i]
-                                               for i in ks[pos + 1:])
+            # the floor holds from t^2 margin >= need on; the interference
+            # is summed left to right (module docstring)
+            row = cross[k]
+            interference = 0.0
+            for i in ks[pos + 1:]:
+                interference += row[i]
+            margin = row[k] - gamma * interference
             if margin > 0.0:
                 t2 = max(t2, need / margin)
             elif margin < 0.0 or need > 0.0:
@@ -306,15 +332,18 @@ class GreedyPolicy:
         env = self.env
         cfg = env.cfg
         h_est = env.channels.est_gain
-        scores = h_est.sum(axis=1)
-        selection = select_leds(scores, env.n_active)
+        n, k = h_est.shape
+        selection = select_leds(np.add.reduce(h_est, axis=1), env.n_active)
         w = cascade_beamformer(h_est, selection, env.bound, cfg.r_min,
                                cfg.noise_var)
         v = self._velocity_command()
-        raw_beam = np.clip(w / env.bound, -1.0, 1.0).ravel()
-        raw_scores = selection.a.astype(float)
-        raw_v = np.clip(v / cfg.v_max, -1.0, 1.0)
-        return np.concatenate([raw_beam, raw_scores, raw_v])
+        # beams, LED scores and velocity filled in place, then one clip
+        # (the 0/1 scores pass it unchanged)
+        raw = np.empty(n * k + n + 3)
+        np.divide(w.ravel(), env.bound, out=raw[:n * k])
+        raw[n * k:n * k + n] = selection.a
+        np.divide(v, cfg.v_max, out=raw[n * k + n:])
+        return raw.clip(-1.0, 1.0, out=raw)
 
 
 def greedy_exhaustive_slot(h_est: np.ndarray, n_active: int, bound: float,

@@ -7,7 +7,11 @@ drawn uniformly and clamped at zero from below.
 
 `channel_matrix` is the one gain kernel (`los_channel_gain` is its one-user
 case). It is exact against a per-user `np.linalg.norm` loop because its
-distances use the same BLAS `ddot`; see its docstring.
+distances use the same BLAS `ddot`; see its docstring. The Lambertian order
+m and the concentrator gain inside the field of view depend on the optics
+alone, so `OpticsParams` works them out once, when it is built, with
+`lambertian_order` and `concentrator_gain`; it is frozen, so they cannot
+go stale.
 """
 
 from __future__ import annotations
@@ -18,8 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass
+@dataclass(frozen=True)
 class OpticsParams:
+    """The LED and photo-diode optics; `lambertian_m` and `fov_gain` (the
+    concentrator gain inside the field of view) follow from them."""
     half_power_semiangle: float   # Phi_1/2 [rad]
     fov_semiangle: float          # Psi_c [rad]
     pd_area: float                # A [m^2]
@@ -34,6 +40,10 @@ class OpticsParams:
             raise ValueError("PD area must be positive")
         if self.refractive_index < 0:
             raise ValueError("refractive index must be >= 0")
+        # not fields: per-optics constants of `channel_matrix`
+        object.__setattr__(self, "lambertian_m",
+                           lambertian_order(self.half_power_semiangle))
+        object.__setattr__(self, "fov_gain", concentrator_gain(0.0, self))
 
 
 @dataclass
@@ -87,7 +97,7 @@ def channel_matrix(uav: np.ndarray, users, optics: OpticsParams,
     blocks, which numpy computes with BLAS `ddot` per block, exactly as
     `np.linalg.norm` does for one vector (a Python sum of squares differs
     in the last bit on some inputs). The rest is Python float arithmetic in
-    the order of the formula above.
+    the order of the formula above, with m and G from `optics`.
     """
     if n_leds < 1:
         raise ValueError("need at least one LED")
@@ -96,12 +106,11 @@ def channel_matrix(uav: np.ndarray, users, optics: OpticsParams,
         raise ValueError("need at least one user")
     diff = np.asarray(uav, dtype=float) - users
     sq_dist = np.matmul(diff[:, None, :], diff[:, :, None]).ravel().tolist()
-    m = lambertian_order(optics.half_power_semiangle)
-    g = concentrator_gain(0.0, optics)
+    m, g = optics.lambertian_m, optics.fov_gain
     scale = (m + 1.0) * optics.pd_area
     two_pi = 2.0 * math.pi
     gains = []
-    for d2, dz in zip(sq_dist, diff[:, 2].tolist()):
+    for d2, (_, _, dz) in zip(sq_dist, diff.tolist()):
         d = math.sqrt(d2)
         if d == 0.0:
             raise ValueError("degenerate geometry: UAV and user coincide")
@@ -123,5 +132,7 @@ def perturb_csi(h: np.ndarray, delta: float,
         raise ValueError("uncertainty radius must be non-negative")
     if delta == 0.0:
         return h.copy()
+    # eps + h is h + eps; both steps write into the draw's own array
     eps = rng.uniform(-delta, delta, size=h.shape)
-    return np.maximum(h + eps, 0.0)
+    np.add(eps, h, out=eps)
+    return np.maximum(eps, 0.0, out=eps)

@@ -17,7 +17,7 @@ from .env import VlcUavEnv, rollout, sample_task
 from .harness import (SCHEMES, SWEEP_VARS, ExperimentSpec, SweepRefused,
                       derive_seed, evaluate, make_agent_policy,
                       meta_train_for, run_experiment)
-from .meta import MetaSac
+from .meta import MetaSac, require_meta_trainable
 from .procs import worker_count
 from .sac import SacAgent, train_sac
 
@@ -108,6 +108,10 @@ def cmd_train(args):
 def cmd_meta_train(args):
     iterations = _at_least_one(args, "iterations")
     cfg = _load_cfg(args)
+    try:
+        require_meta_trainable(cfg)
+    except ValueError as err:
+        raise UsageError(err) from err
     meta, history = meta_train_for(cfg, args.seed,
                                    derive_seed("meta-tasks", args.seed),
                                    iterations, _workers(args))

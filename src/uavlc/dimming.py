@@ -4,6 +4,9 @@ Spatial domain: a target dimming level picks the active-LED count
 N_a = round(eta * N). Analog domain: the uniform DC bias then follows as
 I_DC = eta N (I_0 - I_l) / N_a + I_l, which inverts exactly back to eta.
 The per-LED dynamic range bounds each row of the beamforming matrix.
+
+Sums call `np.add.reduce` directly: `ndarray.sum` is that same reduction
+behind a Python wrapper, so the floats are the same.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ class LedSelection:
 
     @property
     def n_active(self) -> int:
-        return int(self.a.sum())
+        return int(np.add.reduce(self.a, axis=None))
 
 
 def active_led_count(eta: float, n_leds: int) -> int:
@@ -101,7 +104,7 @@ def project_beamformer(w_raw: np.ndarray, bound: float,
     if bound < 0:
         raise ValueError("bound must be non-negative")
     w = np.asarray(w_raw, dtype=float) * selection.a[:, None]
-    sums = np.abs(w).sum(axis=1).tolist()
+    sums = np.add.reduce(np.abs(w), axis=1).tolist()
     if not any(s > bound for s in sums):
         return w
     # a zero bound zeroes every nonzero row

@@ -11,6 +11,15 @@ is the observation the following step acts on. The kernels a step calls
 make few numpy calls per slot and still give the results of their
 per-user, per-element forms bit for bit; the `channel`, `uav` and
 `metrics` docstrings say why.
+
+Per env, the constructor works out the DC bias, the dynamic-range bound,
+the noise vector, the observation's length and normalizers (the box's low
+corner and sides as Python floats), and `OpticsParams` and `FlightConfig`
+hold their own constants. A refresh writes the observation into one fresh
+array: `np.log1p` of the scaled estimates into its contiguous head, then
+the pose terms, each one IEEE subtraction or division of Python floats,
+the operations numpy makes elementwise. The decoder's finiteness check
+sums with `np.add.reduce`, the reduction `ndarray.sum` calls.
 """
 
 from __future__ import annotations
@@ -119,8 +128,10 @@ class VlcUavEnv:
         z_ref = 0.5 * (cfg.q_min[2] + cfg.q_max[2])
         self._h_ref = los_channel_gain(
             np.array([0.0, 0.0, z_ref]), np.zeros(3), self.optics)
-        self._q_min = self.flight_cfg.q_min
-        self._q_span = self.flight_cfg.q_max - self._q_min
+        # the box's low corner and sides as Python floats
+        self._q_min, q_max = self.flight_cfg.box
+        self._q_span = tuple(hi - lo for lo, hi in zip(self._q_min, q_max))
+        self._obs_dim = self.obs_dim
         self._uav: UavState | None = None
         self._channels: ChannelState | None = None
         self._obs: np.ndarray | None = None
@@ -161,7 +172,8 @@ class VlcUavEnv:
         raw = np.asarray(raw, dtype=float)
         # a NaN or infinite entry makes the sum non-finite; a finite sum
         # that overflows falls through to the full check
-        if not math.isfinite(raw.sum()) and not np.isfinite(raw).all():
+        if (not math.isfinite(np.add.reduce(raw, axis=None))
+                and not np.isfinite(raw).all()):
             raise ValueError(
                 f"non-finite raw action at slot {self._uav.slot}")
         n, k = self.cfg.n_leds, self.cfg.n_users
@@ -209,14 +221,19 @@ class VlcUavEnv:
         h_hat = perturb_csi(h, self.cfg.csi_radius, self._rng)
         self._channels = ChannelState(true_gain=h, est_gain=h_hat,
                                       noise_var=self._noise)
-        chan = np.log1p(h_hat / self._h_ref).ravel()
+        obs = np.empty(self._obs_dim)
+        nk = h_hat.size
+        np.log1p(h_hat.ravel() / self._h_ref, out=obs[:nk])
         if self.cfg.observe_pose:
             uav = self._uav
-            chan = np.concatenate([
-                chan, (uav.position - self._q_min) / self._q_span,
-                uav.velocity / self.cfg.v_max,
-                [uav.slot / self.cfg.n_slots]])
-        self._obs = chan
+            (x, y, z), (u, v, w) = (uav.position.tolist(),
+                                    uav.velocity.tolist())
+            (x0, y0, z0), (sx, sy, sz) = self._q_min, self._q_span
+            v_max = self.cfg.v_max
+            obs[nk:] = ((x - x0) / sx, (y - y0) / sy, (z - z0) / sz,
+                        u / v_max, v / v_max, w / v_max,
+                        uav.slot / self.cfg.n_slots)
+        self._obs = obs
 
     # read-only views for baselines and diagnostics
 

@@ -35,7 +35,7 @@ import numpy as np
 from .baselines import GreedyPolicy, RandomPolicy
 from .config import SystemConfig
 from .env import Task, VlcUavEnv, rollout, sample_task
-from .meta import MetaSac
+from .meta import MetaSac, require_meta_trainable
 from .metrics import energy_efficiency
 from .procs import (fork_context, forked, ready, receive, value,
                     worker_count)
@@ -254,8 +254,9 @@ _FIELDS = ["scheme", "sweep_var", "sweep_value", "seed", "mean_p_tot",
 
 class SweepRefused(ValueError):
     """A sweep `run_experiment` refuses before it writes a row: one whose
-    sweep value makes an invalid config, or (`ResultFileError`) one whose
-    result file it cannot open or resume; the message says why."""
+    sweep value makes an invalid config or, with meta-sac, one
+    meta-training cannot run, or (`ResultFileError`) one whose result file
+    it cannot open or resume; the message says why."""
 
 
 class ResultFileError(SweepRefused):
@@ -302,17 +303,21 @@ def run_experiment(spec: ExperimentSpec, cfg: SystemConfig,
                    workers: int | None = None) -> list[ResultRow]:
     """Run the sweep and append its missing rows to the CSV.
 
-    A sweep value that makes an invalid config is refused (`SweepRefused`)
-    before the CSV is opened. Rows whose key the CSV already holds are read
-    back, not recomputed, so a cut-short sweep resumes where it stopped.
-    The other units run on up to `workers` processes (None: every
-    available CPU; see `parallel_map`); the CSV and the returned rows do
-    not depend on it.
+    A sweep value that makes an invalid config, or with meta-sac requested
+    a config meta-training cannot run (`require_meta_trainable`), is
+    refused (`SweepRefused`) before the CSV is opened. Rows whose key the
+    CSV already holds are read back, not recomputed, so a cut-short sweep
+    resumes where it stopped. The other units run on up to `workers`
+    processes (None: every available CPU; see `parallel_map`); the CSV and
+    the returned rows do not depend on it.
     """
     worker_count(workers, 0)    # refuse workers < 1 before touching the file
     try:
         cfgs = [_apply_sweep(cfg, spec.sweep_var, value)
                 for value in spec.sweep_values]
+        if "meta-sac" in spec.schemes:
+            for point in cfgs:
+                require_meta_trainable(point)
     except ValueError as e:
         raise SweepRefused(str(e)) from e
     base_hash = cfg.config_hash()

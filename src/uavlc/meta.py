@@ -35,6 +35,19 @@ from .sac import (NETS, ReplayBuffer, SacAgent, learn_online,
 TASK_STREAM, AGENT_STREAM = 7, 9      # key parts of a unit's two generators
 
 
+def require_meta_trainable(cfg: SystemConfig):
+    """Refuse (ValueError) a config meta-training cannot run: one whose
+    first iteration leaves a task buffer too small to split into support
+    and query sets, or one whose warm-up outlasts a full task buffer. Both
+    read the config alone, so callers check before they write anything."""
+    require_split(min(cfg.buffer_capacity,
+                      cfg.n_slots * cfg.episodes_per_task))
+    if cfg.warmup_steps > cfg.buffer_capacity:    # would never end
+        raise ValueError(f"warmup_steps {cfg.warmup_steps} exceeds "
+                         f"buffer_capacity {cfg.buffer_capacity}, the "
+                         f"most rows a task buffer holds")
+
+
 class MetaSac:
     def __init__(self, cfg: SystemConfig, obs_dim: int, act_dim: int,
                  seed: int = 0):
@@ -90,20 +103,13 @@ class MetaSac:
         The tasks run on up to `workers` forked processes (None: every
         available CPU; see `procs.fork_context`); the results do not depend
         on it. Refuses, before it samples any task, a negative
-        `iterations`, a config whose first iteration leaves a task buffer
-        too small to split into support and query sets, and one whose
-        warm-up outlasts a full task buffer.
+        `iterations` and a config `require_meta_trainable` refuses.
         """
         if iterations < 0:
             raise ValueError(f"iterations must be at least 0, got "
                              f"{iterations}")
         cfg = self.cfg
-        require_split(min(cfg.buffer_capacity,
-                          cfg.n_slots * cfg.episodes_per_task))
-        if cfg.warmup_steps > cfg.buffer_capacity:    # would never end
-            raise ValueError(f"warmup_steps {cfg.warmup_steps} exceeds "
-                             f"buffer_capacity {cfg.buffer_capacity}, the "
-                             f"most rows a task buffer holds")
+        require_meta_trainable(cfg)
         tasks = [task_sampler() for _ in range(cfg.meta_task_count)]
         self.task_seeds = [t.seed for t in tasks]
         history = []

@@ -8,9 +8,13 @@ efficiency is the sum rate over total consumed power.
 per slot, and the exhaustive greedy slot search once per LED subset. It
 forms the cross-gain matrix with numpy and sums the interference over
 Python floats, left to right, which equals numpy's own sum bit for bit
-below 8 terms (numpy sums longer runs in 8-way pairwise blocks). The
-logarithm stays one vector `np.log2`: `math.log2` differs from it in the
-last bit on some inputs.
+below 8 terms (numpy sums longer runs in 8-way pairwise blocks). It forms
+1 + SINR as Python floats too: one IEEE division and one addition per
+user, the operations numpy's elementwise division and addition make, so
+the same floats. A zero denominator, which takes a zero noise variance
+(`SystemConfig` refuses one), raises ZeroDivisionError. The logarithm
+stays one vector `np.log2` of that list: `math.log2` differs from it in
+the last bit on some inputs.
 
 `order_users` keeps its own `einsum` for the effective gains. The diagonal
 of the cross-gain matrix `h.T @ masked` holds the same quantity, but BLAS
@@ -27,7 +31,12 @@ columns of the slot's trace row. It forms the masked magnitudes |w| on
 active LEDs once and takes both the transmit power (sum over all entries)
 and the C3 row sums from them, and lists the rates once for both C1 and
 the rate columns. It compares the rates (C1) and row sums (C3) as Python
-floats, the same IEEE comparisons numpy makes, NaN included.
+floats, the same IEEE comparisons numpy makes, NaN included. The power
+terms are `PowerBreakdown`'s, added in its order, without building one.
+
+Sums call `np.add.reduce` directly (the transmit power over all entries,
+the C3 row sums, the sum rate): `ndarray.sum` is that same reduction
+behind a Python wrapper, so the floats are the same.
 """
 
 from __future__ import annotations
@@ -75,8 +84,7 @@ def effective_gains(h: np.ndarray, w: np.ndarray,
 def order_users(h: np.ndarray, w: np.ndarray,
                 selection: LedSelection) -> np.ndarray:
     """Decoding order: ascending effective gain, ties by user index."""
-    g = effective_gains(h, w, selection)
-    return np.argsort(g, kind="stable")
+    return effective_gains(h, w, selection).argsort(kind="stable")
 
 
 def per_user_rate(h: np.ndarray, w: np.ndarray, selection: LedSelection,
@@ -86,23 +94,20 @@ def per_user_rate(h: np.ndarray, w: np.ndarray, selection: LedSelection,
     noise_var holds one variance per user.
     """
     order = np.asarray(order)
-    k_users = h.shape[1]
     noise = np.asarray(noise_var, dtype=float).tolist()
     masked = w * selection.a[:, None]
     # cross[k][i] = |h_k^H A w_i|^2
     cross = ((h.T @ masked) ** 2).tolist()
     ks = order.tolist()
-    signal = [0.0] * k_users
-    denom = [1.0] * k_users
+    # 1 + SINR; a user outside `order` keeps 1 + 0 / 1
+    one_plus = [1.0] * h.shape[1]
     for pos, k in enumerate(ks):
         row = cross[k]
         interference = 0.0
         for i in ks[pos + 1:]:
             interference += row[i]
-        signal[k] = row[k]
-        denom[k] = interference + noise[k]
-    sinr = np.divide(signal, denom)
-    return RateReport(rates=np.log2(1.0 + sinr), order=order)
+        one_plus[k] = 1.0 + row[k] / (interference + noise[k])
+    return RateReport(rates=np.log2(one_plus), order=order)
 
 
 def total_power(w: np.ndarray, selection: LedSelection, i_dc: float,
@@ -114,22 +119,16 @@ def total_power(w: np.ndarray, selection: LedSelection, i_dc: float,
     The amplifier term sums |w_{n,k}| over active LEDs; magnitudes keep the
     term non-negative for signed beamformer entries.
     """
-    return _power(active_magnitudes(w, selection), selection.n_active, i_dc,
-                  p_propulsion, amp_efficiency, conversion_factor,
-                  circuit_power)
+    magnitudes = active_magnitudes(w, selection)
+    return PowerBreakdown(
+        transmit=amp_efficiency * float(np.add.reduce(magnitudes, axis=None)),
+        bias=conversion_factor * selection.n_active * i_dc,
+        circuit=circuit_power, propulsion=p_propulsion)
 
 
 def active_magnitudes(w: np.ndarray, selection: LedSelection) -> np.ndarray:
     """|w_{n,k}| on active LEDs, 0 on inactive ones."""
     return np.abs(w) * selection.a[:, None]
-
-
-def _power(magnitudes: np.ndarray, n_active: int, i_dc: float,
-           p_propulsion: float, amp_efficiency: float,
-           conversion_factor: float, circuit_power: float) -> PowerBreakdown:
-    return PowerBreakdown(transmit=amp_efficiency * float(magnitudes.sum()),
-                          bias=conversion_factor * n_active * i_dc,
-                          circuit=circuit_power, propulsion=p_propulsion)
 
 
 def energy_efficiency(sum_rate: float, p_total: float) -> float:
@@ -155,31 +154,39 @@ def check_p1_feasibility(env, action, p_propulsion: float) -> dict:
     attached to the final slot.
     """
     w, selection = action.w, action.selection
-    cfg, h_true = env.cfg, env.channels.true_gain
+    cfg, channels = env.cfg, env.channels
+    h_true = channels.true_gain
     order = order_users(h_true, w, selection)
-    rates = per_user_rate(h_true, w, selection, env.channels.noise_var,
+    rates = per_user_rate(h_true, w, selection, channels.noise_var,
                           order).rates
     rate_list = rates.tolist()
     magnitudes = active_magnitudes(w, selection)
     n_a = selection.n_active
-    power = _power(magnitudes, n_a, env.i_dc, p_propulsion,
-                   cfg.amp_efficiency, cfg.conversion_factor,
-                   cfg.circuit_power)
-    eta_back = dimming_level_of(n_a, env.i_dc, env.dim_cfg)
+    # PowerBreakdown's terms and total, in its order
+    transmit = cfg.amp_efficiency * float(np.add.reduce(magnitudes,
+                                                        axis=None))
+    bias = cfg.conversion_factor * n_a * env.i_dc
+    circuit = cfg.circuit_power
+    total = transmit + bias + circuit + p_propulsion
     rate_floor = cfg.r_min - 1e-12
     row_limit = env.bound * (1.0 + 1e-9) + 1e-15
-    verdicts = {
-        "C1": all(r >= rate_floor for r in rate_list),
-        "C2": power.total <= cfg.p_max * (1.0 + 1e-12),
-        "C3": all(s <= row_limit for s in magnitudes.sum(axis=1).tolist()),
-        "C4": True,
-        **check_flight(env.uav_state, action.velocity, env.flight_cfg),
-        "C8": abs(eta_back - env.dim_cfg.eta) <= 1e-9,
-        "C9": is_binary(selection.a) and n_a >= 1,
-    }
-    return {"p_transmit": power.transmit, "p_bias": power.bias,
-            "p_circuit": power.circuit, "p_propulsion": power.propulsion,
-            "p_total": power.total, "sum_rate": float(rates.sum()),
-            **{f"rate_{k}": rate for k, rate in enumerate(rate_list)},
-            **{c: int(verdicts[c]) for c in CONSTRAINTS},
-            "feasible": int(all(verdicts.values()))}
+    flight = check_flight(env.uav_state, action.velocity, env.flight_cfg)
+    eta_back = dimming_level_of(n_a, env.i_dc, env.dim_cfg)
+    # in CONSTRAINTS order
+    verdicts = (
+        all(r >= rate_floor for r in rate_list),
+        total <= cfg.p_max * (1.0 + 1e-12),
+        all(s <= row_limit
+            for s in np.add.reduce(magnitudes, axis=1).tolist()),
+        True,
+        flight["C5"], flight["C6"], flight["C7"],
+        abs(eta_back - env.dim_cfg.eta) <= 1e-9,
+        is_binary(selection.a) and n_a >= 1,
+        flight["RTS"])
+    row = {"p_transmit": transmit, "p_bias": bias, "p_circuit": circuit,
+           "p_propulsion": p_propulsion, "p_total": total,
+           "sum_rate": float(np.add.reduce(rates))}
+    row.update({f"rate_{k}": rate for k, rate in enumerate(rate_list)})
+    row.update(zip(CONSTRAINTS, map(int, verdicts)))
+    row["feasible"] = int(all(verdicts))
+    return row

@@ -8,6 +8,7 @@ constant inside the learner only; buffers and traces keep raw values.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -179,8 +180,17 @@ class SacAgent:
     # -- acting --
 
     def act(self, obs: np.ndarray, deterministic: bool = False) -> np.ndarray:
-        """An action in (-1, 1)^A; only the action, not the training head."""
+        """An action in (-1, 1)^A; only the action, not the training head.
+
+        Acting deterministically adds sigma * 0 to the mean. Where the
+        actor's output row is finite, sigma is finite and sigma * 0 is
+        +0.0, so the action is tanh(mu + 0.0) without the sampling head;
+        a row with a NaN or an infinity (or a sum that overflows) takes
+        the head, which keeps a NaN log-std's NaN.
+        """
         out = self.actor(np.atleast_2d(obs))
+        if deterministic and math.isfinite(np.add.reduce(out[0])):
+            return np.tanh(out[0, :self.act_dim] + 0.0)
         shape = (out.shape[0], self.act_dim)
         xi = (np.zeros(shape) if deterministic
               else self.rng.standard_normal(shape))

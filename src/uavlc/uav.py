@@ -8,6 +8,12 @@ Vector lengths are `norm(x) = sqrt(x . x)` with the dot product taken by
 BLAS `ddot`, the same call `np.linalg.norm` makes for one vector, so they
 equal its results bit for bit at a fraction of its call cost (a Python sum
 of squares does not: it differs in the last bit on some inputs).
+
+`FlightConfig` is frozen and works out its per-env constants once: the box
+corners as Python floats, the C6 and C7 limits with their tolerance, and
+the largest velocity change of a slot, each evaluated in the order the
+checks would evaluate it. The box test compares Python floats, the same
+IEEE comparisons numpy makes, NaN included.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlightConfig:
     slot_duration: float          # tau [s]
     n_slots: int                  # L
@@ -33,9 +39,10 @@ class FlightConfig:
 
     def __post_init__(self):
         for name in ("q_min", "q_max", "q_init"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-            if getattr(self, name).shape != (3,):
+            vec = np.asarray(getattr(self, name), dtype=float)
+            if vec.shape != (3,):
                 raise ValueError(f"{name} must be a 3-vector")
+            object.__setattr__(self, name, vec)
         if not (self.slot_duration > 0 and self.v_max > 0 and self.a_max > 0):
             raise ValueError("slot_duration, v_max and a_max must be positive")
         if self.n_slots < 1:
@@ -45,6 +52,16 @@ class FlightConfig:
                              f"got {self.return_tolerance}")
         if not np.all(self.q_min < self.q_max):
             raise ValueError("q_min must be component-wise below q_max")
+        # not fields: the per-slot constants of check_flight and
+        # clamp_velocity
+        for name, value in (
+                ("box", (tuple(self.q_min.tolist()),
+                         tuple(self.q_max.tolist()))),
+                ("max_dv", self.a_max * self.slot_duration),
+                ("accel_limit",
+                 self.a_max * self.slot_duration * (1 + 1e-12)),
+                ("speed_limit", self.v_max * (1 + 1e-12))):
+            object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -108,14 +125,13 @@ def check_flight(state: UavState, v_next: np.ndarray,
     meets C6, C7 and RTS.
     """
     v_next = np.asarray(v_next, dtype=float)
-    tau = cfg.slot_duration
-    next_pos = state.position + v_next * tau
-    box = zip(cfg.q_min.tolist(), next_pos.tolist(), cfg.q_max.tolist())
+    next_pos = state.position + v_next * cfg.slot_duration
+    x, y, z = next_pos.tolist()
+    (x0, y0, z0), (x1, y1, z1) = cfg.box
     return {
-        "C5": all(lo < x < hi for lo, x, hi in box),
-        "C6": not (norm(v_next - state.velocity)
-                   > cfg.a_max * tau * (1 + 1e-12)),
-        "C7": not norm(v_next) > cfg.v_max * (1 + 1e-12),
+        "C5": x0 < x < x1 and y0 < y < y1 and z0 < z < z1,
+        "C6": not norm(v_next - state.velocity) > cfg.accel_limit,
+        "C7": not norm(v_next) > cfg.speed_limit,
         "RTS": (state.slot + 1 != cfg.n_slots
                 or not norm(next_pos - cfg.q_init) > cfg.return_tolerance),
     }
@@ -131,7 +147,7 @@ def clamp_velocity(state: UavState, v_cmd: np.ndarray,
     """
     v_cmd = np.asarray(v_cmd, dtype=float)
     dv = v_cmd - state.velocity
-    max_dv = cfg.a_max * cfg.slot_duration
+    max_dv = cfg.max_dv
     n = norm(dv)
     if n > max_dv:
         dv = dv * (max_dv / n)

@@ -409,3 +409,34 @@ def test_result_file_that_cannot_be_opened_is_a_one_line_usage_error(
     [err] = capsys.readouterr().err.splitlines()
     assert err == (f"uavlc sweep: error: {out} cannot be opened as a result "
                    f"file: {os.strerror(errno.ENOENT)}")
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["buffer_capacity: 100", "warmup_steps: 200"],
+     "warmup_steps 200 exceeds buffer_capacity 100, the most rows a task "
+     "buffer holds"),
+    (["buffer_capacity: 1", "batch_size: 1", "warmup_steps: 0"],
+     "cannot split a buffer of 1 rows into support and query sets; need at "
+     "least 2"),
+], ids=["warmup-past-buffer", "buffer-too-small-to-split"])
+@pytest.mark.parametrize("command", [
+    ["meta-train", "--iterations", "1"],
+    ["sweep", "--var", "K", "--values", "2", "--scheme", "meta-sac",
+     "--seeds", "1", "--workers", "1"],
+], ids=["meta-train", "sweep"])
+def test_config_meta_training_cannot_run_is_a_one_line_usage_error(
+        cfg_path, tmp_path, capsys, monkeypatch, lines, message, command):
+    def sample(*args, **kwargs):
+        raise AssertionError("drew a task before refusing the config")
+
+    monkeypatch.setattr(uavlc.harness, "sample_task", sample)
+    bad = tmp_path / "bad.yaml"
+    text = open(cfg_path).read().replace("warmup_steps: 10\n", "")
+    bad.write_text(text + "\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main(command + ["--config", str(bad), "--out", str(out)])
+    assert exit_info.value.code == 2
+    [err] = capsys.readouterr().err.splitlines()
+    assert err == f"uavlc {command[0]}: error: {message}"
+    assert not out.exists()

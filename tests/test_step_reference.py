@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from uavlc import (DimmingConfig, FlightConfig, LedSelection, OpticsParams,
-                   UavState, VlcUavEnv, check_flight,
+                   SystemConfig, UavState, VlcUavEnv, check_flight,
                    check_p1_feasibility, channel_matrix, clamp_velocity,
                    los_channel_gain, project_beamformer, sample_task)
 from uavlc.channel import (ChannelState, concentrator_gain, lambertian_order,
@@ -28,7 +28,7 @@ from uavlc.metrics import (CONSTRAINTS, PowerBreakdown, order_users,
                            per_user_rate)
 from uavlc.uav import hover_power, step_kinematics
 
-from conftest import small_config
+from conftest import BENCH_K_REGIME, BENCH_POWER_REGIME, small_config
 
 # ---------------------------------------------------------------------------
 # the earlier kernels, verbatim
@@ -474,3 +474,29 @@ def test_episodes_match_reference_stepper(overrides):
         assert ref.done
         feasible += sum(r["feasible"] for r in env.trace.rows)
     assert feasible > 0
+
+
+@pytest.mark.parametrize("regime", [BENCH_K_REGIME, BENCH_POWER_REGIME],
+                         ids=["K-regime", "power-regime"])
+def test_episodes_match_reference_stepper_at_benchmark_shapes(regime):
+    # N = 10 and K = 1..5: 50-entry beam matrices, 5-term row sums and
+    # 57-entry observations, which the small episodes above never reach
+    rng = np.random.default_rng(22)
+    for n_users in range(1, 6):
+        cfg = SystemConfig(**{**regime, "n_users": n_users})
+        task = sample_task(cfg, rng)
+        env, ref = VlcUavEnv(cfg, task), ReferenceEnv(cfg, task)
+        for episode in range(3):
+            assert np.array_equal(env.reset(seed=episode),
+                                  ref.reset(seed=episode))
+            while not env.done:
+                raw = rng.uniform(-1.5, 1.5, env.action_dim)
+                got, want = env.step(raw), ref.step(raw)
+                assert got.obs.shape == (10 * n_users + 7,)
+                assert np.array_equal(got.obs, want.obs)
+                assert got.reward == want.reward
+                assert np.array_equal(got.next_obs, want.next_obs)
+                assert got.done == want.done
+                assert env.trace.rows[-1] == ref.trace.rows[-1]
+                assert list(env.trace.rows[-1]) == list(ref.trace.rows[-1])
+            assert ref.done
