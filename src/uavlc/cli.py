@@ -14,8 +14,8 @@ import numpy as np
 from .baselines import GreedyPolicy, RandomPolicy
 from .config import load_config
 from .env import VlcUavEnv, rollout, sample_task
-from .harness import (SCHEMES, SWEEP_VARS, ExperimentSpec, SweepRefused,
-                      derive_seed, evaluate, make_agent_policy,
+from .harness import (BUDGETS, SCHEMES, SWEEP_VARS, ExperimentSpec,
+                      SweepRefused, derive_seed, evaluate, make_agent_policy,
                       meta_train_for, run_experiment)
 from .meta import MetaSac, require_meta_trainable
 from .procs import worker_count
@@ -23,8 +23,6 @@ from .sac import SacAgent, train_sac
 
 
 POLICIES = ("greedy", "random", "agent")     # --scheme of simulate and eval
-BUDGETS = ("eval_episodes", "train_episodes", "adapt_episodes",
-           "meta_iterations")                 # per-point sweep budgets
 
 
 class UsageError(Exception):

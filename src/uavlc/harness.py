@@ -1,8 +1,10 @@
 """Experiment orchestration: scheme evaluation, sweeps and CSV emission.
 
-Every result row is reproducible bit-for-bit from (config hash, scheme,
-sweep variable, sweep value, seed): all randomness is derived from that
-key. `seed_tasks` is the definition of each seed's evaluation task: one
+Every result row is reproducible bit-for-bit from its key (config hash,
+scheme, sweep variable, sweep value, seed), from which all its randomness
+is derived, and the sweep's budgets. The CSV's first line records the
+config hash and the budgets, and a sweep resumes only a CSV that matches
+both. `seed_tasks` is the definition of each seed's evaluation task: one
 draw per seed, from a seed that does not depend on the sweep value, at the
 sweep value with the most users; each unit takes its first K users. So
 sweep points share common random numbers, and the users of a K sweep nest.
@@ -248,6 +250,9 @@ def meta_train_for(cfg: SystemConfig, seed: int, task_seed: int,
     return meta, history
 
 
+# the per-point budgets of a sweep, which its CSV header records
+BUDGETS = ("eval_episodes", "train_episodes", "adapt_episodes",
+           "meta_iterations")
 _FIELDS = ["scheme", "sweep_var", "sweep_value", "seed", "mean_p_tot",
            "mean_sum_rate", "mean_ee", "feasibility_fraction"]
 
@@ -264,9 +269,10 @@ class ResultFileError(SweepRefused):
     resume; the message says why."""
 
 
-def _saved_rows(path: str, config_hash: str) -> dict:
-    """Rows already in the CSV, by key; refuses a file of another config,
-    one ending in a partly written row and a row with a non-finite mean.
+def _saved_rows(path: str, config_hash: str, spec: ExperimentSpec) -> dict:
+    """Rows already in the CSV, by key; refuses a file of another config
+    or other budgets, one ending in a partly written row and a row with a
+    non-finite mean.
 
     Python's float repr round-trips, so a row read back equals the row
     that was written.
@@ -274,13 +280,21 @@ def _saved_rows(path: str, config_hash: str) -> dict:
     if not os.path.exists(path):
         return {}
     with open(path, newline="") as f:
-        saved = re.match(r"# config_hash=(\S+)", f.readline())
+        header = f.readline()
         lines = [ln for ln in f if not ln.startswith("#")]
+    saved = re.match(r"# config_hash=(\S+)", header)
     if saved is None or saved.group(1) != config_hash:
         found = saved.group(1) if saved else "none"
         raise ResultFileError(f"{path} holds rows of config hash {found}, "
                               f"not {config_hash}; write this sweep to "
                               f"another file")
+    for budget in BUDGETS:
+        found = re.search(rf" {budget}=(\S+)", header)
+        found = found.group(1) if found else "none"
+        if found != str(getattr(spec, budget)):
+            raise ResultFileError(
+                f"{path} holds rows of {budget} {found}, not "
+                f"{getattr(spec, budget)}; write this sweep to another file")
     if lines and not lines[-1].endswith("\n"):
         raise ResultFileError(f"{path} ends in a partly written row; "
                               f"remove it to resume the sweep")
@@ -307,7 +321,8 @@ def run_experiment(spec: ExperimentSpec, cfg: SystemConfig,
     a config meta-training cannot run (`require_meta_trainable`), is
     refused (`SweepRefused`) before the CSV is opened. Rows whose key the
     CSV already holds are read back, not recomputed, so a cut-short sweep
-    resumes where it stopped. The other units run on up to `workers`
+    resumes where it stopped; a CSV of another config or other budgets is
+    refused (`ResultFileError`). The other units run on up to `workers`
     processes (None: every available CPU; see `parallel_map`); the CSV and
     the returned rows do not depend on it.
     """
@@ -322,7 +337,7 @@ def run_experiment(spec: ExperimentSpec, cfg: SystemConfig,
         raise SweepRefused(str(e)) from e
     base_hash = cfg.config_hash()
     try:
-        saved = _saved_rows(spec.out_path, base_hash)
+        saved = _saved_rows(spec.out_path, base_hash, spec)
         new_file = not os.path.exists(spec.out_path)
         out = open(spec.out_path, "a", newline="")
     except OSError as e:
@@ -339,7 +354,9 @@ def run_experiment(spec: ExperimentSpec, cfg: SystemConfig,
     with out:
         writer = csv.writer(out)
         if new_file:
-            out.write(f"# config_hash={base_hash} scenario={spec.scenario}\n")
+            budgets = " ".join(f"{b}={getattr(spec, b)}" for b in BUDGETS)
+            out.write(f"# config_hash={base_hash} scenario={spec.scenario} "
+                      f"{budgets}\n")
             writer.writerow(_FIELDS)
         out.flush()     # forked workers must not inherit buffered bytes
         meta_at = sorted({i for i, _, scheme in todo

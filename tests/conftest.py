@@ -1,4 +1,5 @@
-"""Shared fixtures: small fast configs and environments."""
+"""Shared fixtures: small fast configs and environments, and the bitwise
+comparison the kernel oracles use."""
 
 import signal
 from contextlib import contextmanager
@@ -63,6 +64,19 @@ BENCH_K_REGIME = {
     "uav_weight": 1e-3, "rotor_radius": 0.01,
     "blade_angular_velocity": 1.0, "rotor_disk_area": 1e-4,
     "induced_hover_velocity": 0.5, "fuselage_drag_ratio": 1e-6}
+
+
+def same_floats(got, want):
+    """Equal bit for bit: arrays by dtype, shape and bytes, dicts by key
+    order and the repr of every value, anything else by its repr (which
+    tells -0.0 from 0.0, and a Python float from a numpy one)."""
+    if isinstance(want, np.ndarray):
+        return (got.dtype == want.dtype and got.shape == want.shape
+                and got.tobytes() == want.tobytes())
+    if isinstance(want, dict):
+        return (list(got) == list(want)
+                and all(repr(got[k]) == repr(want[k]) for k in want))
+    return repr(got) == repr(want)
 
 
 @pytest.fixture

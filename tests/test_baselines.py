@@ -1,4 +1,22 @@
-"""Random and greedy baselines plus the power-cascade design routine."""
+"""Random and greedy baselines plus the power-cascade design routine.
+
+The cascade's kernels have one frozen oracle each, the earlier
+numpy-per-element forms kept below verbatim (renamed `reference_*`):
+`noma_cascade_amplitudes` is compared bit for bit with
+`reference_noma_cascade_amplitudes` wherever it runs the sweep fallback,
+tied gains included, and its fallback `_cascade_sweeps` on every cascade,
+through each of its three exits; elsewhere the amplitudes are checked to
+be the least fixed point. `cascade_beamformer` is compared bit for bit
+with `reference_cascade_beamformer` on the exits that solve no scale and,
+where it solves one, with the reference bisection to float resolution and
+with its own closed-form scale applied as its docstring says.
+`least_floor_scale` is checked against the exact rate test here and
+against its earlier form in `test_slot_fast_paths.py`; the greedy slot
+itself (`GreedyPolicy.__call__`) is compared with its earlier form over
+whole episodes in `test_step_reference.py`.
+"""
+
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -6,11 +24,12 @@ import pytest
 from uavlc import (GreedyPolicy, LedSelection, RandomPolicy, SystemConfig,
                    VlcUavEnv, rollout, sample_task)
 import uavlc.baselines as baselines
-from uavlc.baselines import (cascade_beamformer, greedy_exhaustive_slot,
-                             least_floor_scale, noma_cascade_amplitudes)
+from uavlc.baselines import (_cascade_sweeps, cascade_beamformer,
+                             greedy_exhaustive_slot, least_floor_scale,
+                             noma_cascade_amplitudes)
 from uavlc.metrics import order_users, per_user_rate
 
-from conftest import small_config
+from conftest import same_floats, small_config
 from test_acceptance import K_REGIME
 from test_metrics import reference_per_user_rate
 
@@ -135,10 +154,19 @@ def cascade_reachable(gains, gamma):
                for a in range(g.size - 1))
 
 
+def cascade_case(gains, r_min, noise):
+    """A cascade with its reference sweep and whether that sweep runs in
+    the closed form too: an unreachable floor, or a design past the
+    divergence cap."""
+    gamma = 2.0 ** r_min - 1.0
+    want = reference_noma_cascade_amplitudes(gains, r_min, noise)
+    swept = (not cascade_reachable(gains, gamma)
+             or np.max(want ** 2, initial=0.0) > gamma * noise * 1e12)
+    return gains, r_min, noise, want, swept
+
+
 def random_cascades(k_users):
-    """150 cascades, each with its reference sweep and whether that sweep
-    runs in the closed form too: an unreachable floor, or a design past
-    the divergence cap."""
+    """150 random `cascade_case`s."""
     rng = np.random.default_rng(200 + k_users)
     for trial in range(150):
         gains = rng.random(k_users) * 10.0 ** rng.uniform(-6.0, 2.0)
@@ -149,25 +177,66 @@ def random_cascades(k_users):
             gains = gains[0] * (1.0 + 1e-3 * rng.random(k_users))
         r_min = rng.uniform(0.01, 3.0)
         noise = 10.0 ** rng.uniform(-22.0, 0.0)
-        gamma = 2.0 ** r_min - 1.0
-        want = reference_noma_cascade_amplitudes(gains, r_min, noise)
-        swept = (not cascade_reachable(gains, gamma)
-                 or np.max(want ** 2, initial=0.0) > gamma * noise * 1e12)
-        yield gains, r_min, noise, want, swept
+        yield cascade_case(gains, r_min, noise)
+
+
+def tied_cascades(k_users):
+    """60 `cascade_case`s whose served users share a few exactly equal
+    gains, so the decoding order breaks ties by user index; with rate
+    floors up to 3, most of their floors are unreachable."""
+    rng = np.random.default_rng(600 + k_users)
+    for _ in range(60):
+        levels = rng.random(3) * 10.0 ** rng.uniform(-6.0, 2.0)
+        gains = levels[rng.integers(0, 3, k_users)]
+        gains[rng.random(k_users) < 0.2] = 0.0
+        yield cascade_case(gains, rng.uniform(0.01, 3.0),
+                           10.0 ** rng.uniform(-22.0, 0.0))
 
 
 @pytest.mark.parametrize("k_users", range(1, 13))
 def test_cascade_amplitudes_match_reference_bitwise(k_users):
     """Unreachable floors, and designs that pass the divergence cap, give
-    the reference sweep's capped iterate; zero-gain users get zero."""
+    the reference sweep's capped iterate, tied gains in index order;
+    zero-gain users get zero."""
     swept = 0
-    for gains, r_min, noise, want, sweep in random_cascades(k_users):
+    for gains, r_min, noise, want, sweep in chain(random_cascades(k_users),
+                                                  tied_cascades(k_users)):
         got = noma_cascade_amplitudes(gains, r_min, noise)
         assert np.all(got[gains == 0.0] == 0.0)
         if sweep:
             assert_matches_reference(got, want, k_users)
             swept += 1
     assert swept > 0 or k_users == 1
+
+
+def test_cascade_sweeps_match_reference_on_each_exit(monkeypatch):
+    """The sweep fallback on every cascade of 1 to 8 users, reachable or
+    not, against the reference sweep (its sums have fewer than 8 terms, so
+    they are the same left-to-right sums); each exit is taken: past the
+    cap, settled (one sweep fewer gives the same powers) and MAX_SWEEPS
+    sweeps run."""
+    exits = dict.fromkeys(("cap", "settled", "all sweeps"), 0)
+    for k_users in range(1, 9):
+        for gains, r_min, noise, want, _ in chain(random_cascades(k_users),
+                                                  tied_cascades(k_users)):
+            served = np.flatnonzero(gains > 0.0)
+            if served.size == 0:
+                continue
+            order = served[np.argsort(gains[served], kind="stable")]
+            g = gains[order]
+            ratio = ((g[:, None] / g[None, :]) ** 2).tolist()
+            gamma = float(2.0 ** r_min - 1.0)
+            cap = gamma * noise * 1e12
+            e = _cascade_sweeps(ratio, gamma, noise, cap)
+            e2 = np.zeros(k_users)
+            e2[order] = e
+            assert same_floats(np.sqrt(e2), want)
+            with monkeypatch.context() as m:
+                m.setattr(baselines, "MAX_SWEEPS", baselines.MAX_SWEEPS - 1)
+                shorter = _cascade_sweeps(ratio, gamma, noise, cap)
+            exits["cap" if e[-1] > cap else
+                  "settled" if shorter == e else "all sweeps"] += 1
+    assert min(exits.values()) > 0, exits
 
 
 @pytest.mark.parametrize("k_users", range(1, 13))
@@ -229,8 +298,9 @@ def random_beam_slots(seed, k_users, trials):
 
 def beams_on_reference_shape(k_users, monkeypatch):
     """Both beamformers on the reference's beam shape (its cascade
-    monkeypatched in), with whether the closed form solved a scale below
-    the cap; the reference bisection is carried to float resolution."""
+    monkeypatched in), with the design at its closed-form scale t* (1 +
+    1e-9) where that scale is below the cap (none where it is not); the
+    reference bisection is carried to float resolution."""
     monkeypatch.setattr(baselines, "noma_cascade_amplitudes",
                         reference_noma_cascade_amplitudes)
     scales = []
@@ -247,8 +317,8 @@ def beams_on_reference_shape(k_users, monkeypatch):
         got = cascade_beamformer(h_est, sel, bound, r_min, noise)
         want = reference_cascade_beamformer(h_est, sel, bound, r_min, noise,
                                             bisect_iters=200)
-        solved = any(t * (1.0 + 1e-9) < bound / w.sum(axis=1).max()
-                     for t, w in scales)
+        solved = [w * (t * (1.0 + 1e-9)) for t, w in scales
+                  if t * (1.0 + 1e-9) < bound / w.sum(axis=1).max()]
         yield got, want, solved
 
 
@@ -275,6 +345,7 @@ def test_cascade_beamformer_scale_matches_reference_bisection(
     for got, want, solved in beams_on_reference_shape(k_users, monkeypatch):
         if solved:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+            assert same_floats(got, solved[0])
             solves += 1
     assert solves > 0
 

@@ -400,6 +400,24 @@ def test_refused_result_file_is_a_one_line_usage_error(cfg_path, tmp_path,
     assert out.read_bytes() == content
 
 
+@pytest.mark.parametrize("budget", ["eval-episodes", "train-episodes",
+                                    "adapt-episodes", "meta-iterations"])
+def test_result_file_of_other_budgets_is_a_one_line_usage_error(
+        cfg_path, tmp_path, capsys, budget):
+    out = tmp_path / "sweep.csv"
+    main(_sweep_argv(cfg_path, out))
+    content = out.read_bytes()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(_sweep_argv(cfg_path, out) + [f"--{budget}", "7"])
+    assert exit_info.value.code == 2
+    [err] = capsys.readouterr().err.splitlines()
+    name = budget.replace("-", "_")
+    assert err.startswith(f"uavlc sweep: error: {out} holds rows of {name} ")
+    assert err.endswith(", not 7; write this sweep to another file")
+    assert out.read_bytes() == content
+
+
 def test_result_file_that_cannot_be_opened_is_a_one_line_usage_error(
         cfg_path, tmp_path, capsys):
     out = tmp_path / "missing" / "sweep.csv"

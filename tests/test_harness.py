@@ -213,6 +213,22 @@ def test_run_experiment_refuses_a_csv_of_another_config(tmp_path):
     assert path.read_text() == content
 
 
+def test_run_experiment_refuses_a_csv_without_budgets(tmp_path):
+    # the header a sweep wrote before it recorded its budgets
+    cfg = small_config()
+    path = tmp_path / "rows.csv"
+    spec = micro_spec(path, schemes=("random",))
+    run_experiment(spec, cfg)
+    header, rest = path.read_text().split("\n", 1)
+    old = header.split(" eval_episodes=")[0]
+    assert old == f"# config_hash={cfg.config_hash()} scenario=micro"
+    path.write_text(old + "\n" + rest)
+    with pytest.raises(harness.ResultFileError,
+                       match="holds rows of eval_episodes none, not 1"):
+        run_experiment(spec, cfg)
+    assert path.read_text() == old + "\n" + rest
+
+
 def test_greedy_scheme_through_harness(tmp_path):
     cfg = small_config(r_min=0.01, noise_var=1e-22)
     path = tmp_path / "g.csv"

@@ -1,4 +1,13 @@
-"""Rate/power accounting against hand-computed oracles."""
+"""Rate/power accounting against hand-computed oracles.
+
+`per_user_rate` has one frozen oracle, its earlier numpy-per-user form
+kept below verbatim (`reference_per_user_rate`), compared bit for bit
+with tied users, users with no channel, -0.0 and zero beams and
+selections mutated to a non-binary entry. The same test checks that
+`order_users` sorts the effective gains stably (ties by user index). The
+report's oracle is `reference_check_p1_feasibility` in
+`test_step_reference.py`; the tests here check its verdicts by hand.
+"""
 
 import math
 from types import SimpleNamespace
@@ -11,6 +20,8 @@ from uavlc import (AllocationAction, ChannelState, DimmingConfig,
                    check_p1_feasibility, energy_efficiency, per_user_rate,
                    total_power)
 from uavlc.metrics import RateReport, effective_gains, order_users
+
+from conftest import same_floats
 
 # two LEDs, two users, co-located columns
 H = np.array([[2.0, 1.0],
@@ -84,15 +95,26 @@ def test_per_user_rate_matches_reference_bitwise(k_users):
             w = np.abs(w)
         sel = LedSelection(a=rng.integers(0, 2, n))
         h[:, rng.random(k_users) < 0.15] = 0.0  # users with no channel
+        if trial % 5 == 1:      # tied users
+            h[:], w[:] = h[:, :1], w[:, :1]
+        if trial % 7 == 2:      # signed zeros
+            w[::2, ::3] = -0.0
+        if trial % 11 == 3:     # a zero beam: a zero bound
+            w[:] = 0.0
+        if trial % 13 == 4:     # mutated past the check, as the C9 test does
+            sel.a[0] = 2
         noise = (np.full(k_users, 10.0 ** rng.uniform(-22.0, -1.0))
                  if trial % 2 else 10.0 ** rng.uniform(-22.0, -1.0, k_users))
+        gains = effective_gains(h, w, sel).tolist()
+        assert order_users(h, w, sel).tolist() == sorted(
+            range(k_users), key=lambda k: (gains[k], k))
         order = (order_users(h, w, sel) if trial % 4
                  else rng.permutation(k_users))
         got = per_user_rate(h, w, sel, noise, order)
         want = reference_per_user_rate(h, w, sel, noise, order)
-        assert np.array_equal(got.order, want.order)
+        assert same_floats(got.order, want.order)
         if k_users <= 8:
-            assert np.array_equal(got.rates, want.rates)
+            assert same_floats(got.rates, want.rates)
         else:
             # numpy's add.reduce sums 8 or more terms in 8-way pairwise
             # blocks, while the kernel sums left to right; below 8 terms

@@ -1,12 +1,36 @@
 """The environment step against its earlier per-user, per-element kernels.
 
-The channel gains, flight checks, velocity clamp, beamformer projection and
-C1-C9 report were rewritten to make fewer numpy calls per slot. The earlier
-versions are kept below verbatim (renamed `reference_*`), and every test
-asserts exact equality with them on seeded random inputs, up to whole
-episodes of the environment. `reference_propulsion_power` alone is not
-verbatim: it takes the induced root in the library's cancellation-free
-form, whose last bits differ from the earlier form's.
+Each slot kernel here has one frozen oracle, its earlier form kept below
+verbatim (renamed `reference_*`), and its test asserts bit-for-bit
+equality with it (`same_floats`: bytes, key order and reprs, so -0.0 and
+a numpy scalar show) on seeded random inputs and the edge cases each
+rewrite must keep:
+
+- `channel_matrix` and `los_channel_gain`: `reference_channel_matrix`,
+  with users out of view and ground planes at +0.0 and -0.0;
+- `check_flight` and `clamp_velocity`: `reference_check_flight` and
+  `reference_clamp_velocity`, at the final slot's RTS, with NaN and -0.0
+  velocity entries and positions on the faces of the box;
+- `project_beamformer`: `reference_project_beamformer`, with rows over,
+  at and under the bound, a zero bound, -0.0 and NaN entries;
+- `LedSelection.n_active`, `total_power` and `check_p1_feasibility`:
+  `reference_n_active`, `reference_total_power` and
+  `reference_check_p1_feasibility`, with tied gains and LED scores, users
+  out of view, rows at the bound, a zero bound, -0.0 entries, selections
+  mutated to a non-binary entry and the final slot;
+- `VlcUavEnv.step` (decode, report, kinematics, channel refresh and
+  observation): `ReferenceEnv`, over whole episodes of raw, random and
+  greedy actions at the benchmark's shapes;
+- `GreedyPolicy.__call__`: `ReferenceGreedyPolicy`, the one form here that
+  is not per-element (see its docstring).
+
+`reference_propulsion_power` alone is not verbatim: it takes the induced
+root in the library's cancellation-free form, whose last bits differ from
+the earlier form's. The other kernels' oracles: `per_user_rate` and
+`order_users` in `test_metrics.py`, the greedy cascade in
+`test_baselines.py`, and the kernels with no per-element form (`is_binary`,
+the decoder's finiteness check, `perturb_csi`, `least_floor_scale`,
+deterministic `act`, `propulsion_power`) in `test_slot_fast_paths.py`.
 """
 
 import math
@@ -15,10 +39,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from uavlc import (DimmingConfig, FlightConfig, LedSelection, OpticsParams,
-                   SystemConfig, UavState, VlcUavEnv, check_flight,
-                   check_p1_feasibility, channel_matrix, clamp_velocity,
-                   los_channel_gain, project_beamformer, sample_task)
+from uavlc import (DimmingConfig, FlightConfig, GreedyPolicy, LedSelection,
+                   OpticsParams, RandomPolicy, SystemConfig, UavState,
+                   VlcUavEnv, check_flight, check_p1_feasibility,
+                   channel_matrix, clamp_velocity, los_channel_gain,
+                   project_beamformer, sample_task, total_power)
+from uavlc.baselines import cascade_beamformer
 from uavlc.channel import (ChannelState, concentrator_gain, lambertian_order,
                            perturb_csi)
 from uavlc.dimming import (beamforming_bound, dc_bias_for, dimming_level_of,
@@ -28,7 +54,8 @@ from uavlc.metrics import (CONSTRAINTS, PowerBreakdown, order_users,
                            per_user_rate)
 from uavlc.uav import hover_power, step_kinematics
 
-from conftest import BENCH_K_REGIME, BENCH_POWER_REGIME, small_config
+from conftest import (BENCH_K_REGIME, BENCH_POWER_REGIME, same_floats,
+                      small_config)
 
 # ---------------------------------------------------------------------------
 # the earlier kernels, verbatim
@@ -280,6 +307,26 @@ class ReferenceEnv(VlcUavEnv):
         return np.concatenate([chan, pos, vel, frac]).astype(float)
 
 
+class ReferenceGreedyPolicy(GreedyPolicy):
+    """The greedy slot before it filled its raw action in place, verbatim
+    but for calling the library's `cascade_beamformer` (whose oracles are
+    in `test_baselines.py`)."""
+
+    def __call__(self, obs):
+        env = self.env
+        cfg = env.cfg
+        h_est = env.channels.est_gain
+        scores = h_est.sum(axis=1)
+        selection = select_leds(scores, env.n_active)
+        w = cascade_beamformer(h_est, selection, env.bound, cfg.r_min,
+                               cfg.noise_var)
+        v = self._velocity_command()
+        raw_beam = np.clip(w / env.bound, -1.0, 1.0).ravel()
+        raw_scores = selection.a.astype(float)
+        raw_v = np.clip(v / cfg.v_max, -1.0, 1.0)
+        return np.concatenate([raw_beam, raw_scores, raw_v])
+
+
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
@@ -294,22 +341,27 @@ NARROW = OpticsParams(half_power_semiangle=math.radians(35.0),
 
 @pytest.mark.parametrize("optics", [OPTICS, NARROW])
 def test_channel_matrix_matches_reference_bitwise(optics):
+    assert optics.lambertian_m == lambertian_order(
+        optics.half_power_semiangle)
+    assert optics.fov_gain == concentrator_gain(0.0, optics)
     rng = np.random.default_rng(7)
     outside = below = 0
-    for _ in range(2000):
+    for trial in range(2000):
         k = int(rng.integers(1, 9))
         n = int(rng.integers(1, 12))
         scale = 10.0 ** rng.uniform(-1.0, 2.5)
         users = rng.uniform(-1.0, 1.0, (k, 3)) * scale
-        users[:, 2] = 0.0 if rng.random() < 0.5 else users[:, 2]
+        if rng.random() < 0.5:      # on the ground plane, as +0.0 or -0.0
+            users[:, 2] = 0.0 if trial % 2 else -0.0
         # UAV above, level with or below some users' planes
         uav = rng.uniform(-1.0, 1.0, 3) * scale
         if rng.random() < 0.2:
             uav[2] = users[int(rng.integers(k)), 2]
+        elif trial % 5 == 0:
+            uav[2] = -0.0
         want = reference_channel_matrix(uav, list(users), optics, n)
         got = channel_matrix(uav, users, optics, n)
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
+        assert same_floats(got, want)
         below += int(np.sum(uav[2] <= users[:, 2]))
         outside += int(np.sum((want[0] == 0.0) & (uav[2] > users[:, 2])))
         for u in users:
@@ -351,17 +403,24 @@ def random_state(rng):
 def test_check_flight_and_clamp_match_reference_bitwise():
     rng = np.random.default_rng(11)
     seen = set()
-    for _ in range(20000):
+    for trial in range(20000):
         state = random_state(rng)
         v = rng.normal(size=3) * rng.uniform(0.0, 25.0)
         if rng.random() < 0.3:
             v = FLIGHT.q_init - state.position   # fly home
+        if trial % 50 == 0:
+            # a NaN or -0.0 velocity entry, its coordinate on a box face
+            i, special = trial // 50 % 3, trial // 150 % 2
+            v[i] = (np.nan, -0.0)[special]
+            state.position[i] = (FLIGHT.q_max, FLIGHT.q_min)[
+                trial // 300 % 2][i]
         want = reference_check_flight(state, v, FLIGHT)
-        assert check_flight(state, v, FLIGHT) == {
-            c: c not in want for c in ("C5", "C6", "C7", "RTS")}
+        assert same_floats(check_flight(state, v, FLIGHT),
+                           {c: c not in want
+                            for c in ("C5", "C6", "C7", "RTS")})
         seen.update(want)
-        assert np.array_equal(clamp_velocity(state, v, FLIGHT),
-                              reference_clamp_velocity(state, v, FLIGHT))
+        assert same_floats(clamp_velocity(state, v, FLIGHT),
+                           reference_clamp_velocity(state, v, FLIGHT))
     assert seen == {"C5", "C6", "C7", "RTS"}
 
 
@@ -374,64 +433,151 @@ def test_project_beamformer_matches_reference_bitwise():
         bound = float(rng.choice([0.0, 10.0 ** rng.uniform(-4.0, 1.0)]))
         sel = select_leds(rng.normal(size=n), int(rng.integers(1, n + 1)))
         got = project_beamformer(w, bound, sel)
-        assert np.array_equal(got, reference_project_beamformer(w, bound,
-                                                                sel))
+        assert same_floats(got, reference_project_beamformer(w, bound, sel))
         over_rows += int(np.sum(np.abs(w * sel.a[:, None]).sum(axis=1)
                                 > bound))
     assert over_rows > 1000
+    # every active row within the bound, the largest at it or under it,
+    # with -0.0 entries: the masked beam passes, as a new array
+    for _ in range(2000):
+        n, k = int(rng.integers(1, 12)), int(rng.integers(1, 9))
+        sel = select_leds(rng.normal(size=n), int(rng.integers(1, n + 1)))
+        w = rng.normal(size=(n, k))
+        if rng.random() < 0.2:
+            w[rng.random((n, k)) < 0.3] = -0.0
+        bound = float(np.abs(w * sel.a[:, None]).sum(axis=1).max()
+                      * rng.choice([1.0, 1.0 + rng.uniform(0.0, 3.0)]))
+        got = project_beamformer(w, bound, sel)
+        assert same_floats(got, reference_project_beamformer(w, bound, sel))
+        assert got is not w
+    # a NaN entry on an active row, an inactive row past the bound
+    sel = LedSelection(a=np.array([1, 0, 1]))
+    w = np.array([[np.nan, 0.1], [5.0, 5.0], [-0.0, 0.2]])
+    assert same_floats(project_beamformer(w, 1.0, sel),
+                       reference_project_beamformer(w, 1.0, sel))
+
+
+def reference_outcome(env, action, p_propulsion):
+    """The reference report on an env-like namespace, and the outcome
+    columns of its trace row, in row order."""
+    cfg, state = env.cfg, env.uav_state
+    report = reference_check_p1_feasibility(
+        w=action.w, selection=action.selection, i_dc=env.i_dc,
+        v_next=action.velocity, h_true=env.channels.true_gain,
+        noise_var=env.channels.noise_var, uav_state=state,
+        flight_cfg=env.flight_cfg, dim_cfg=env.dim_cfg, qos=cfg,
+        p_propulsion=p_propulsion, amp_efficiency=cfg.amp_efficiency,
+        conversion_factor=cfg.conversion_factor,
+        circuit_power=cfg.circuit_power)
+    row = ReferenceEnv._record(SimpleNamespace(_uav=state), report, action,
+                               0.0)
+    return report, {k: v for k, v in row.items()
+                    if k not in ("slot", "reward", "x", "y", "z")}
+
+
+DIM = DimmingConfig(eta=0.7, i_low=0.0, i_high=0.01, n_leds=10)
+
+
+def report_case(rng, r_min, h, sel, i_dc, w, state, v):
+    """An env-like namespace the report reads, the decoded action and a
+    propulsion power."""
+    env = SimpleNamespace(
+        cfg=SimpleNamespace(r_min=r_min, p_max=5.0, amp_efficiency=1.2,
+                            conversion_factor=1.0, circuit_power=0.5),
+        channels=ChannelState(
+            true_gain=h, est_gain=h,
+            noise_var=np.full(h.shape[1], 10.0 ** rng.uniform(-20, -14))),
+        uav_state=state, flight_cfg=FLIGHT, dim_cfg=DIM, i_dc=i_dc,
+        bound=beamforming_bound(i_dc, DIM.i_low, DIM.i_high))
+    return (env, AllocationAction(w=w, selection=sel, velocity=v),
+            float(rng.uniform(0.0, 6.0)))
+
+
+def random_report_case(rng):
+    """A random slot with some rows past the bound or at its tolerance,
+    and a few selections with no LED active or a non-binary entry."""
+    k = int(rng.integers(1, 9))
+    h = np.tile(rng.random(k) * 1e-6, (10, 1))
+    sel = select_leds(rng.normal(size=10), 7)
+    i_dc = dc_bias_for(DIM, 7)
+    bound = beamforming_bound(i_dc, 0.0, 0.01)
+    w = rng.normal(size=(10, k)) * bound * rng.uniform(0.0, 0.5)
+    if rng.random() < 0.2:     # some rows past the dynamic range: C3
+        w[int(rng.integers(10))] *= 10.0
+    elif rng.random() < 0.3:   # an active row at the C3 tolerance
+        i = int(np.flatnonzero(sel.a)[0])
+        w[i] *= bound * (1.0 + rng.uniform(0.0, 2e-9)) / np.abs(w[i]).sum()
+    if rng.random() < 0.05:    # C9: no LED active, or a non-binary entry
+        sel = LedSelection(a=np.zeros(10, dtype=int))
+        sel.a[int(rng.integers(10))] = int(rng.choice([0, 2]))
+    state = random_state(rng)
+    v = rng.normal(size=3) * rng.uniform(0.0, 12.0)
+    return report_case(rng, 0.5, h, sel, i_dc, w, state, v)
+
+
+def edge_report_case(rng, bound_zero):
+    """A slot with the edge cases: rows over, under and at the bound (a
+    zero one when `bound_zero`: the DC bias at the top of its range),
+    -0.0 entries, users out of view, tied gains, tied LED scores,
+    selections mutated to a non-binary entry and the final slot."""
+    k = int(rng.integers(1, 10))
+    i_dc = DIM.i_high if bound_zero else dc_bias_for(DIM, 7)
+    bound = beamforming_bound(i_dc, DIM.i_low, DIM.i_high)
+    gains = rng.random(k) * 1e-6
+    gains[rng.random(k) < 0.2] = 0.0                    # out of view
+    if rng.random() < 0.2:
+        gains[:] = gains[0]                             # tied users
+    h = np.tile(gains, (10, 1))
+    sel = select_leds(np.round(rng.normal(size=10)), 7)  # tied scores
+    w = rng.normal(size=(10, k)) * max(bound, 1e-3) * rng.uniform(0.0, 0.5)
+    if rng.random() < 0.3:
+        w[rng.random((10, k)) < 0.3] = -0.0
+    i = int(np.flatnonzero(sel.a)[0])
+    if rng.random() < 0.3 and np.abs(w[i]).sum() > 0.0:  # a row at the bound
+        w[i] *= bound / np.abs(w[i]).sum()
+    elif rng.random() < 0.2:
+        w[int(rng.integers(10))] *= 10.0
+    if rng.random() < 0.05:
+        sel.a[int(rng.integers(10))] = int(rng.choice([0, 2]))
+    state = UavState(position=rng.uniform(FLIGHT.q_min - 2, FLIGHT.q_max + 2),
+                     velocity=rng.normal(size=3) * 3.0,
+                     slot=int(rng.choice([0, FLIGHT.n_slots - 1])))
+    r_min = float(rng.choice([0.0, 0.5, 5.0]))
+    return report_case(rng, r_min, h, sel, i_dc, w, state,
+                       rng.normal(size=3) * 6.0)
 
 
 def test_check_p1_feasibility_matches_reference_bitwise():
     rng = np.random.default_rng(3)
-    dim = DimmingConfig(eta=0.7, i_low=0.0, i_high=0.01, n_leds=10)
-    cfg = SimpleNamespace(r_min=0.5, p_max=5.0, amp_efficiency=1.2,
-                          conversion_factor=1.0, circuit_power=0.5)
+    cases = [random_report_case(rng) for _ in range(3000)]
+    cases += [edge_report_case(rng, bound_zero)
+              for bound_zero in (False, True) for _ in range(3000)]
     outcomes = set()
-    for _ in range(3000):
-        k = int(rng.integers(1, 9))
-        h = np.tile(rng.random(k) * 1e-6, (10, 1))
-        sel = select_leds(rng.normal(size=10), 7)
-        i_dc = dc_bias_for(dim, 7)
-        bound = beamforming_bound(i_dc, 0.0, 0.01)
-        w = rng.normal(size=(10, k)) * bound * rng.uniform(0.0, 0.5)
-        if rng.random() < 0.2:     # some rows past the dynamic range: C3
-            w[int(rng.integers(10))] *= 10.0
-        elif rng.random() < 0.3:   # an active row at the C3 tolerance
-            i = int(np.flatnonzero(sel.a)[0])
-            w[i] *= bound * (1.0 + rng.uniform(0.0, 2e-9)) / np.abs(w[i]).sum()
-        if rng.random() < 0.05:    # C9: no LED active, or a non-binary entry
-            sel = LedSelection(a=np.zeros(10, dtype=int))
-            sel.a[int(rng.integers(10))] = int(rng.choice([0, 2]))
-        state = random_state(rng)
-        v = rng.normal(size=3) * rng.uniform(0.0, 12.0)
-        kwargs = dict(w=w, selection=sel, i_dc=i_dc, v_next=v, h_true=h,
-                      noise_var=np.full(k, 10.0 ** rng.uniform(-20, -14)),
-                      uav_state=state, flight_cfg=FLIGHT, dim_cfg=dim,
-                      qos=cfg, p_propulsion=float(rng.uniform(0.0, 6.0)),
-                      amp_efficiency=cfg.amp_efficiency,
-                      conversion_factor=cfg.conversion_factor,
-                      circuit_power=cfg.circuit_power)
-        env = SimpleNamespace(
-            cfg=cfg, channels=ChannelState(true_gain=h, est_gain=h,
-                                           noise_var=kwargs["noise_var"]),
-            uav_state=state, flight_cfg=FLIGHT, dim_cfg=dim, i_dc=i_dc,
-            bound=bound)
-        action = AllocationAction(w=w, selection=sel, velocity=v)
-        got = check_p1_feasibility(env, action, kwargs["p_propulsion"])
-        want = reference_check_p1_feasibility(**kwargs)
-        # the outcome columns of the reference row, in its order
-        row = ReferenceEnv._record(SimpleNamespace(_uav=state), want, action,
-                                   0.0)
-        outcome = {k: v for k, v in row.items()
-                   if k not in ("slot", "reward", "x", "y", "z")}
-        assert list(got) == list(outcome)
-        for key in outcome:
-            assert got[key] == outcome[key], key
+    for env, action, p_prop in cases:
+        w, sel = action.w, action.selection
+        want, outcome = reference_outcome(env, action, p_prop)
+        assert same_floats(check_p1_feasibility(env, action, p_prop),
+                           outcome)
+        assert same_floats(sel.n_active, reference_n_active(sel))
+        args = (env.i_dc, p_prop, 1.2, 1.0, 0.5)
+        assert same_floats(total_power(w, sel, *args),
+                           reference_total_power(w, sel, *args))
         outcomes.update(c for c in ("C1", "C2", "C3", "C5", "C6", "C7",
                                     "C8", "C9", "RTS") if not want[c])
         outcomes.add(want["feasible"])
     assert outcomes == {"C1", "C2", "C3", "C5", "C6", "C7", "C8", "C9", "RTS",
                         True, False}
+
+
+def test_n_active_matches_reference():
+    for a in ([0, 1, 1], [1], [0, 0], [True, False, True], [0.0, 1.0],
+              [-0.0, 1.0, 1.0]):
+        sel = LedSelection(a=np.asarray(a))
+        assert same_floats(sel.n_active, reference_n_active(sel))
+    sel = LedSelection(a=np.array([1, 0, 1]))
+    sel.a[1] = 2     # mutated past the check, as the C9 test does
+    assert same_floats(sel.n_active, reference_n_active(sel))
+    assert sel.n_active == 4
 
 
 # ---------------------------------------------------------------------------
@@ -476,27 +622,48 @@ def test_episodes_match_reference_stepper(overrides):
     assert feasible > 0
 
 
-@pytest.mark.parametrize("regime", [BENCH_K_REGIME, BENCH_POWER_REGIME],
-                         ids=["K-regime", "power-regime"])
-def test_episodes_match_reference_stepper_at_benchmark_shapes(regime):
+@pytest.mark.parametrize("regime, overrides", [
+    (BENCH_K_REGIME, {}),
+    (BENCH_POWER_REGIME, {}),
+    # half the LEDs active, with tied scores (exact channel estimates)
+    (BENCH_K_REGIME, {"csi_radius": 0.0, "dimming_level": 0.5}),
+    (BENCH_K_REGIME, {"clamp_velocity": False, "observe_pose": False,
+                      "reward_mode": "paper", "dimming_level": 0.7}),
+], ids=["K-regime", "power-regime", "tied-scores", "paper-no-clamp"])
+def test_episodes_match_reference_stepper_at_benchmark_shapes(regime,
+                                                              overrides):
     # N = 10 and K = 1..5: 50-entry beam matrices, 5-term row sums and
-    # 57-entry observations, which the small episodes above never reach
+    # 57-entry observations, which the small episodes above never reach;
+    # raw actions past the box with -0.0 entries, then random and greedy
+    # ones
     rng = np.random.default_rng(22)
     for n_users in range(1, 6):
-        cfg = SystemConfig(**{**regime, "n_users": n_users})
+        cfg = SystemConfig(**{**regime, "n_users": n_users, **overrides})
         task = sample_task(cfg, rng)
         env, ref = VlcUavEnv(cfg, task), ReferenceEnv(cfg, task)
-        for episode in range(3):
-            assert np.array_equal(env.reset(seed=episode),
-                                  ref.reset(seed=episode))
+        pose = 7 if cfg.observe_pose else 0
+        for episode, scheme in enumerate(("raw", "raw", "raw", "random",
+                                          "greedy")):
+            policies = {"random": (RandomPolicy(env, seed=episode),
+                                   RandomPolicy(ref, seed=episode)),
+                        "greedy": (GreedyPolicy(env),
+                                   ReferenceGreedyPolicy(ref))}
+            obs_a, obs_b = env.reset(seed=episode), ref.reset(seed=episode)
+            assert same_floats(obs_a, obs_b)
             while not env.done:
-                raw = rng.uniform(-1.5, 1.5, env.action_dim)
-                got, want = env.step(raw), ref.step(raw)
-                assert got.obs.shape == (10 * n_users + 7,)
-                assert np.array_equal(got.obs, want.obs)
-                assert got.reward == want.reward
-                assert np.array_equal(got.next_obs, want.next_obs)
-                assert got.done == want.done
-                assert env.trace.rows[-1] == ref.trace.rows[-1]
-                assert list(env.trace.rows[-1]) == list(ref.trace.rows[-1])
+                if scheme == "raw":
+                    a = b = rng.uniform(-1.5, 1.5, env.action_dim)
+                    a[rng.random(env.action_dim) < 0.1] = -0.0
+                else:
+                    mine, theirs = policies[scheme]
+                    a, b = mine(obs_a), theirs(obs_b)
+                    assert same_floats(a, b)
+                got, want = env.step(a), ref.step(b)
+                assert got.obs.shape == (10 * n_users + pose,)
+                for field in ("obs", "raw_action", "reward", "next_obs",
+                              "done"):
+                    assert same_floats(getattr(got, field),
+                                       getattr(want, field)), field
+                assert same_floats(env.trace.rows[-1], ref.trace.rows[-1])
+                obs_a, obs_b = got.next_obs, want.next_obs
             assert ref.done
