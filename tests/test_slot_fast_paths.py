@@ -1,23 +1,35 @@
-"""Slot kernels with no per-element reference form, against the forms
-they replaced.
+"""The slot kernels' fast paths against the forms they replaced.
 
-`is_binary`, the finiteness check of `decode_action`, `perturb_csi`,
-`least_floor_scale` and deterministic `SacAgent.act` were rewritten to
-cost less per slot, and no earlier per-element form of them is kept
-elsewhere, so the forms they replaced are kept below verbatim (renamed
-`previous_*`) as their one oracle, and their tests assert exact equality
-with them on the edge cases each fast path must keep and on seeded random
-inputs. `previous_least_floor_scale` is verbatim but for calling the
-library's `order_users`, whose oracle is in `test_metrics.py`; it summed
-with the builtin `sum`, which compensates from Python 3.12 on, so it is
-compared only where that sum is the left-to-right one, and a hand-built
-case shows which sum the library takes. `propulsion_power` is checked
-against a 60-digit decimal evaluation of the same model.
+`is_binary`, `project_beamformer`, the finiteness check of
+`decode_action`, the channel and its estimate, the flight checks and
+clamp, the report with its order and rates, `least_floor_scale`, the
+stepper with the greedy slot, and deterministic `SacAgent.act` were
+rewritten to cost less per slot. The tests here assert exact equality
+(`same_floats`) with each kernel's one frozen oracle, on the edge cases
+each fast path must keep (tied gains and LED scores, -0.0 entries, a zero
+bound, rows at the bound, NaN and infinite entries, users out of view,
+non-binary selections, the final slot's RTS) and on seeded random inputs,
+up to whole episodes at the benchmark's shapes.
 
-Every other slot kernel has one oracle in the `reference_*` tests
-(`test_step_reference.py`, `test_metrics.py`, `test_baselines.py`), and a
-bit-identical rewrite of one adds its edge cases there, not a new copy
-here.
+Where a kernel has an earlier per-element form in `test_step_reference.py`
+(`reference_project_beamformer`, `reference_channel_matrix`,
+`reference_check_flight`, `reference_clamp_velocity`, the reference
+report, `ReferenceEnv`, `ReferenceGreedyPolicy`), that form is its oracle
+here too. The kernels with no such form keep the form they replaced
+below, verbatim (renamed `previous_*`), as their one oracle: `is_binary`,
+the decoder's finiteness check, `perturb_csi`, `least_floor_scale` and
+deterministic `act`. `previous_per_user_rate` stays beside
+`reference_per_user_rate` (`test_metrics.py`) because it alone sums the
+interference left to right, as the kernel does, so it alone compares the
+kernel bitwise past 8 later users. `previous_least_floor_scale` is
+verbatim but for calling the library's `order_users`; it summed with the
+builtin `sum`, which compensates from Python 3.12 on, so it is compared
+only where that sum is the left-to-right one, and a hand-built case shows
+which sum the library takes. `propulsion_power` is checked against a
+60-digit decimal evaluation of the same model.
+
+A bit-identical rewrite of a slot kernel adds its edge cases to a test
+against the kernel's one oracle, not a new copy of the form it replaces.
 """
 
 import dataclasses
@@ -27,15 +39,27 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from uavlc import LedSelection, RotorcraftParams, SacAgent
+from uavlc import (GreedyPolicy, LedSelection, RandomPolicy,
+                   RotorcraftParams, SacAgent, SystemConfig, UavState,
+                   VlcUavEnv, check_flight, check_p1_feasibility,
+                   channel_matrix, clamp_velocity, project_beamformer,
+                   sample_task, total_power)
 from uavlc.baselines import least_floor_scale
-from uavlc.channel import OpticsParams, perturb_csi
-from uavlc.dimming import is_binary, select_leds
-from uavlc.metrics import order_users
+from uavlc.channel import (OpticsParams, concentrator_gain, lambertian_order,
+                           perturb_csi)
+from uavlc.dimming import (beamforming_bound, dc_bias_for, is_binary,
+                           select_leds)
+from uavlc.metrics import (CONSTRAINTS, RateReport, effective_gains,
+                           order_users, per_user_rate)
 from uavlc.sac import squashed_gaussian
 from uavlc.uav import hover_power, propulsion_power
 
-from conftest import same_floats, small_config
+from conftest import (BENCH_K_REGIME, BENCH_POWER_REGIME, same_floats,
+                      small_config)
+from test_step_reference import (
+    DIM, FLIGHT, ReferenceEnv, ReferenceGreedyPolicy, reference_channel_matrix,
+    reference_check_flight, reference_clamp_velocity, reference_outcome,
+    reference_project_beamformer, reference_total_power, report_case)
 
 # ---------------------------------------------------------------------------
 # the earlier forms, verbatim
@@ -57,6 +81,27 @@ def previous_perturb_csi(h, delta, rng):
         return h.copy()
     eps = rng.uniform(-delta, delta, size=h.shape)
     return np.maximum(h + eps, 0.0)
+
+
+def previous_per_user_rate(h, w, selection, noise_var, order):
+    order = np.asarray(order)
+    k_users = h.shape[1]
+    noise = np.asarray(noise_var, dtype=float).tolist()
+    masked = w * selection.a[:, None]
+    # cross[k][i] = |h_k^H A w_i|^2
+    cross = ((h.T @ masked) ** 2).tolist()
+    ks = order.tolist()
+    signal = [0.0] * k_users
+    denom = [1.0] * k_users
+    for pos, k in enumerate(ks):
+        row = cross[k]
+        interference = 0.0
+        for i in ks[pos + 1:]:
+            interference += row[i]
+        signal[k] = row[k]
+        denom[k] = interference + noise[k]
+    sinr = np.divide(signal, denom)
+    return RateReport(rates=np.log2(1.0 + sinr), order=order)
 
 
 def previous_least_floor_scale(h_est, w, selection, served, floor,
@@ -125,6 +170,49 @@ def test_is_binary_takes_two_dimensional_arrays():
     assert is_binary(a) and previous_is_binary(a)
     a[1, 1] = 2
     assert not is_binary(a) and not previous_is_binary(a)
+
+
+# ---------------------------------------------------------------------------
+# project_beamformer
+# ---------------------------------------------------------------------------
+
+def test_project_beamformer_with_every_row_under_the_bound():
+    rng = np.random.default_rng(6)
+    for _ in range(2000):
+        n, k = int(rng.integers(1, 12)), int(rng.integers(1, 9))
+        sel = select_leds(rng.normal(size=n), int(rng.integers(1, n + 1)))
+        w = rng.normal(size=(n, k))
+        if rng.random() < 0.2:
+            w[rng.random((n, k)) < 0.3] = -0.0
+        # every active row at most the bound; the largest one at it or
+        # under it: the masked beam passes, as a new array
+        bound = float(np.abs(w * sel.a[:, None]).sum(axis=1).max()
+                      * rng.choice([1.0, 1.0 + rng.uniform(0.0, 3.0)]))
+        got = project_beamformer(w, bound, sel)
+        assert same_floats(got, reference_project_beamformer(w, bound, sel))
+        assert got is not w
+
+
+def test_project_beamformer_fast_path_keeps_nan_and_inactive_rows():
+    sel = LedSelection(a=np.array([1, 0, 1]))
+    w = np.array([[np.nan, 0.1], [5.0, 5.0], [-0.0, 0.2]])
+    got = project_beamformer(w, 1.0, sel)
+    assert same_floats(got, reference_project_beamformer(w, 1.0, sel))
+    assert np.all(got[1] == 0.0)
+
+
+def test_project_beamformer_matches_previous_form_with_rows_over():
+    rng = np.random.default_rng(7)
+    over = 0
+    for _ in range(2000):
+        n, k = int(rng.integers(1, 12)), int(rng.integers(1, 9))
+        sel = select_leds(rng.normal(size=n), int(rng.integers(1, n + 1)))
+        w = rng.normal(size=(n, k))
+        bound = float(rng.choice([0.0, rng.uniform(0.0, 2.0 * k)]))
+        got = project_beamformer(w, bound, sel)
+        assert same_floats(got, reference_project_beamformer(w, bound, sel))
+        over += bool((np.abs(w * sel.a[:, None]).sum(axis=1) > bound).any())
+    assert 200 < over < 2000
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +313,45 @@ def test_decode_action_takes_finite_entries_whose_sum_overflows(env):
 
 
 # ---------------------------------------------------------------------------
-# perturb_csi and the per-optics and per-flight constants
+# the channel, its estimate and the per-optics and per-flight constants
 # ---------------------------------------------------------------------------
+
+OPTICS_SETS = [
+    OpticsParams(half_power_semiangle=math.radians(60.0),
+                 fov_semiangle=math.radians(60.0), pd_area=1e-4,
+                 refractive_index=1.5),
+    OpticsParams(half_power_semiangle=math.radians(35.0),
+                 fov_semiangle=math.radians(25.0), pd_area=2e-4,
+                 refractive_index=1.2),
+]
+
+
+@pytest.mark.parametrize("optics", OPTICS_SETS, ids=["wide", "narrow"])
+def test_channel_matrix_and_estimate_match_previous_forms(optics):
+    assert optics.lambertian_m == lambertian_order(
+        optics.half_power_semiangle)
+    assert optics.fov_gain == concentrator_gain(0.0, optics)
+    rng = np.random.default_rng(31)
+    out_of_view = 0
+    for trial in range(2000):
+        k, n = int(rng.integers(1, 9)), int(rng.integers(1, 12))
+        scale = 10.0 ** rng.uniform(-1.0, 2.5)
+        users = rng.uniform(-1.0, 1.0, (k, 3)) * scale
+        users[:, 2] = 0.0 if trial % 2 else -0.0
+        uav = rng.uniform(-1.0, 1.0, 3) * scale
+        if trial % 5 == 0:      # level with the users' plane: out of view
+            uav[2] = -0.0
+        got = channel_matrix(uav, users, optics, n)
+        assert same_floats(got, reference_channel_matrix(uav, list(users),
+                                                         optics, n))
+        out_of_view += int(np.sum(got[0] == 0.0))
+        delta = float(rng.choice([0.0, 10.0 ** rng.uniform(-12, -3)]))
+        seed = int(rng.integers(2**31))
+        assert same_floats(
+            perturb_csi(got, delta, np.random.default_rng(seed)),
+            previous_perturb_csi(got, delta, np.random.default_rng(seed)))
+    assert out_of_view > 500
+
 
 def test_perturb_csi_matches_previous_form():
     rng = np.random.default_rng(31)
@@ -246,15 +371,111 @@ def test_perturb_csi_matches_previous_form():
 
 
 def test_optics_and_flight_constants_cannot_go_stale():
-    optics = OpticsParams(half_power_semiangle=math.radians(60.0),
-                          fov_semiangle=math.radians(60.0), pd_area=1e-4,
-                          refractive_index=1.5)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        optics.fov_semiangle = 0.1
+        OPTICS_SETS[0].fov_semiangle = 0.1
     flight = small_config().flight(np.array([25.0, 25.0, 20.0]))
     with pytest.raises(dataclasses.FrozenInstanceError):
         flight.a_max = 1.0
     assert flight.box == ((0.0, 0.0, 10.0), (50.0, 50.0, 40.0))
+
+
+# ---------------------------------------------------------------------------
+# the flight checks and clamp
+# ---------------------------------------------------------------------------
+
+def test_check_flight_and_clamp_match_previous_forms():
+    rng = np.random.default_rng(32)
+    failed = set()
+    for trial in range(20000):
+        pos = rng.uniform(FLIGHT.q_min - 5.0, FLIGHT.q_max + 5.0)
+        if trial % 3 == 0:       # next to home, so the RTS slot can pass
+            pos = FLIGHT.q_init + rng.normal(size=3) * 3.0
+        # the final slot, where RTS is checked, and two others
+        slot = int(rng.choice([0, 4, FLIGHT.n_slots - 1]))
+        state = UavState(position=pos, slot=slot,
+                         velocity=rng.normal(size=3) * rng.uniform(0.0, 8.0))
+        v = rng.normal(size=3) * rng.uniform(0.0, 25.0)
+        if trial % 4 == 0:
+            v = FLIGHT.q_init - pos     # fly home
+        if trial % 50 == 0:
+            # a NaN or -0.0 velocity entry, its coordinate on a box face
+            i, special = trial // 50 % 3, trial // 150 % 2
+            v[i] = (np.nan, -0.0)[special]
+            state.position[i] = (FLIGHT.q_max, FLIGHT.q_min)[
+                trial // 300 % 2][i]
+        want = reference_check_flight(state, v, FLIGHT)
+        assert same_floats(check_flight(state, v, FLIGHT),
+                           {c: c not in want
+                            for c in ("C5", "C6", "C7", "RTS")})
+        failed.update(want)
+        assert same_floats(clamp_velocity(state, v, FLIGHT),
+                           reference_clamp_velocity(state, v, FLIGHT))
+    assert failed == {"C5", "C6", "C7", "RTS"}
+
+
+# ---------------------------------------------------------------------------
+# the report, its order and rates
+# ---------------------------------------------------------------------------
+
+def edge_report_case(rng, bound_zero):
+    """A slot with the edge cases: rows over, under and at the bound (a
+    zero one when `bound_zero`: the DC bias at the top of its range),
+    -0.0 entries, users out of view, tied gains, tied LED scores,
+    selections mutated to a non-binary entry and the final slot."""
+    k = int(rng.integers(1, 10))
+    i_dc = DIM.i_high if bound_zero else dc_bias_for(DIM, 7)
+    bound = beamforming_bound(i_dc, DIM.i_low, DIM.i_high)
+    gains = rng.random(k) * 1e-6
+    gains[rng.random(k) < 0.2] = 0.0                    # out of view
+    if rng.random() < 0.2:
+        gains[:] = gains[0]                             # tied users
+    h = np.tile(gains, (10, 1))
+    sel = select_leds(np.round(rng.normal(size=10)), 7)  # tied scores
+    w = rng.normal(size=(10, k)) * max(bound, 1e-3) * rng.uniform(0.0, 0.5)
+    if rng.random() < 0.3:
+        w[rng.random((10, k)) < 0.3] = -0.0
+    i = int(np.flatnonzero(sel.a)[0])
+    if rng.random() < 0.3 and np.abs(w[i]).sum() > 0.0:  # a row at the bound
+        w[i] *= bound / np.abs(w[i]).sum()
+    elif rng.random() < 0.2:
+        w[int(rng.integers(10))] *= 10.0
+    if rng.random() < 0.05:
+        sel.a[int(rng.integers(10))] = int(rng.choice([0, 2]))
+    state = UavState(position=rng.uniform(FLIGHT.q_min - 2, FLIGHT.q_max + 2),
+                     velocity=rng.normal(size=3) * 3.0,
+                     slot=int(rng.choice([0, FLIGHT.n_slots - 1])))
+    r_min = float(rng.choice([0.0, 0.5, 5.0]))
+    return report_case(rng, r_min, h, sel, i_dc, w, state,
+                       rng.normal(size=3) * 6.0)
+
+
+@pytest.mark.parametrize("bound_zero", [False, True],
+                         ids=["bound", "zero-bound"])
+def test_report_order_and_rates_match_previous_forms(bound_zero):
+    rng = np.random.default_rng(33)
+    outcomes = set()
+    for _ in range(3000):
+        env, action, p_prop = edge_report_case(rng, bound_zero)
+        h, w, sel = env.channels.true_gain, action.w, action.selection
+        noise = env.channels.noise_var
+        order = order_users(h, w, sel)
+        gains = effective_gains(h, w, sel).tolist()
+        assert order.tolist() == sorted(range(h.shape[1]),
+                                        key=lambda k: (gains[k], k))
+        got = per_user_rate(h, w, sel, noise, order)
+        want = previous_per_user_rate(h, w, sel, noise, order)
+        assert same_floats(got.rates, want.rates)
+        assert got.order is order
+        want, outcome = reference_outcome(env, action, p_prop)
+        assert same_floats(check_p1_feasibility(env, action, p_prop),
+                           outcome)
+        args = (env.i_dc, p_prop, 1.2, 1.0, 0.5)
+        assert same_floats(total_power(w, sel, *args),
+                           reference_total_power(w, sel, *args))
+        outcomes.update(c for c in CONSTRAINTS if not want[c])
+        outcomes.add(want["feasible"])
+    assert outcomes >= {"C1", "C2", "C3", "C5", "C6", "C7", "C9", "RTS",
+                        False}
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +539,54 @@ def test_least_floor_scale_sums_the_interference_left_to_right():
     got = least_floor_scale(h, w, sel, np.ones(4, dtype=bool), 1e-3, noise)
     assert got == scale(left_to_right)
     assert got != scale(math.fsum)
+
+
+# ---------------------------------------------------------------------------
+# whole episodes with the greedy slot
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("regime, overrides", [
+    (BENCH_K_REGIME, {}),
+    (BENCH_POWER_REGIME, {}),
+    # half the LEDs active, with tied scores (exact channel estimates)
+    (BENCH_K_REGIME, {"csi_radius": 0.0, "dimming_level": 0.5}),
+    (BENCH_K_REGIME, {"clamp_velocity": False, "observe_pose": False,
+                      "reward_mode": "paper", "dimming_level": 0.7}),
+], ids=["K-regime", "power-regime", "tied-scores", "paper-no-clamp"])
+def test_episodes_match_previous_stepper_and_greedy(regime, overrides):
+    rng = np.random.default_rng(35)
+    rows = 0
+    for n_users in range(1, 6):
+        cfg = SystemConfig(**{**regime, "n_users": n_users, **overrides})
+        task = sample_task(cfg, rng)
+        env, ref = VlcUavEnv(cfg, task), ReferenceEnv(cfg, task)
+        for episode, scheme in enumerate(("greedy", "random", "raw")):
+            policies = {"greedy": (GreedyPolicy(env),
+                                   ReferenceGreedyPolicy(ref)),
+                        "random": (RandomPolicy(env, seed=episode),
+                                   RandomPolicy(ref, seed=episode))}
+            obs_a, obs_b = env.reset(seed=episode), ref.reset(seed=episode)
+            assert same_floats(obs_a, obs_b)
+            while not env.done:
+                if scheme == "raw":
+                    # past the box; tied scores; signed zeros
+                    raw = rng.uniform(-1.5, 1.5, env.action_dim)
+                    raw[rng.random(env.action_dim) < 0.1] = -0.0
+                    a = b = raw
+                else:
+                    mine, theirs = policies[scheme]
+                    a, b = mine(obs_a), theirs(obs_b)
+                    assert same_floats(a, b)
+                got, want = env.step(a), ref.step(b)
+                obs_a, obs_b = got.next_obs, want.next_obs
+                for field in ("obs", "raw_action", "reward", "next_obs",
+                              "done"):
+                    assert same_floats(getattr(got, field),
+                                       getattr(want, field)), field
+                assert same_floats(env.trace.rows[-1], ref.trace.rows[-1])
+                rows += 1
+            assert ref.done
+    assert rows == 5 * 3 * 20
 
 
 # ---------------------------------------------------------------------------
