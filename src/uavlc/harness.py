@@ -30,7 +30,7 @@ import hashlib
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -4,7 +4,7 @@ Two-phase procedure: meta-training alternates per-task inner adaptation on
 support data with one first-order outer step on query data evaluated at the
 adapted parameters; meta-adaptation then fine-tunes the shared
 initialization on a fresh task's buffer. Inner steps use ADAM with a
-separate inner learning rate; the outer step reuses the global optimizers.
+separate inner learning rate; the outer step reuses the global optimizer.
 
 Each meta-iteration's tasks are independent units. Unit (i, k), task k of
 global iteration i, draws from two generators keyed by (seed, i, k): one
@@ -14,10 +14,11 @@ acts in the rollouts and then adapts in place, so a unit reads only the
 global parameters and its own task's env and buffer (both kept across
 iterations). The tasks' owners are forked once per `meta_train` call, by
 `procs.forked`: worker j owns tasks j, j + n, ... Each iteration it
-receives the global parameters and sends back its units' query gradients,
-which the parent sums in task order before its one outer step. So the
-floats do not depend on the worker count, and meta-training never draws
-from the global agent's own generator.
+receives the global agent's parameter vector, one array, and sends back
+its units' query gradients, one vector each, which the parent sums in task
+order before its one outer step. So the floats do not depend on the worker
+count, and meta-training never draws from the global agent's own
+generator.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ import numpy as np
 from .config import SystemConfig
 from .env import Task, VlcUavEnv, rollout
 from .procs import fork_context, forked, receive, value
-from .sac import (NETS, ReplayBuffer, SacAgent, learn_online,
-                  read_checkpoint, require_split)
+from .sac import (ReplayBuffer, SacAgent, learn_online, read_checkpoint,
+                  require_split)
 
 TASK_STREAM, AGENT_STREAM = 7, 9      # key parts of a unit's two generators
 
@@ -75,23 +76,21 @@ class MetaSac:
         """One global ADAM step on the summed query gradients (first order).
 
         `grads` yields each task's `SacAgent.grads` on its query batch, in
-        task order, and they are summed in that order: the step does not
-        depend on which process computed them.
+        task order, and the gradient vectors are summed in that order: the
+        step does not depend on which process computed them.
         """
-        sums = None
+        total = None
         losses = {"actor": 0.0, "critic1": 0.0, "critic2": 0.0}
-        for ga, g1, g2, task_losses in grads:
-            if sums is None:
-                sums = [ga, g1, g2]
+        for g, task_losses in grads:
+            if total is None:
+                total = g
             else:
-                sums[0] += ga
-                sums[1] += g1
-                sums[2] += g2
+                total += g
             for key in losses:
                 losses[key] += task_losses[key]
-        if sums is None:
+        if total is None:
             raise ValueError("need at least one adapted task")
-        self.agent.apply_grads(*sums)
+        self.agent.apply_grads(total)
         return losses
 
     # -- phases --
@@ -203,8 +202,9 @@ def _task_owners(meta: MetaSac, tasks: list, workers: int | None):
 
     In this process, or from `procs.forked` workers, worker j owning the
     tasks j, j + n, ... for the whole block; each call sends them the
-    global parameters. A worker's exception is raised here with its type
-    and message. Leaving the block stops and joins every worker.
+    global agent's `flat`, one array. A worker's exception is raised here
+    with its type and message. Leaving the block stops and joins every
+    worker.
     """
     ctx, n = fork_context(workers, len(tasks))
     shards = [_task_shard(meta, tasks, range(j, len(tasks), n))
@@ -215,17 +215,15 @@ def _task_owners(meta: MetaSac, tasks: list, workers: int | None):
 
     def owner(shard):
         def handle(request):
-            it, flats = request
-            for name, flat in zip(NETS, flats):
-                getattr(meta.agent, name).flat[:] = flat
+            it, flat = request
+            meta.agent.flat[:] = flat
             return shard(it)
         return handle
 
     with forked(ctx, [owner(shard) for shard in shards]) as conns:
         def query(it):
-            flats = [getattr(meta.agent, name).flat for name in NETS]
             for conn in conns:
-                conn.send((it, flats))
+                conn.send((it, meta.agent.flat))
             units = [value(receive(conn)) for conn in conns]
             return [units[k % n][k // n] for k in range(len(tasks))]
         yield query

@@ -4,11 +4,12 @@ tanh hidden layers, linear output. Gradients are exact and are validated
 against central finite differences in the test suite; keep any change here
 in sync with those checks.
 
-Each network owns one contiguous float64 vector `flat` holding w0, b0, w1,
-b1, ... in order; `weights[i]` and `biases[i]` are views into it. That
-vector is the one place the parameter layout lives: gradients, optimizer
-moments, Polyak averaging, cloning and checkpoints all act on whole vectors
-aligned with it.
+Each network's parameters are one contiguous float64 vector `flat` holding
+w0, b0, w1, b1, ... in order; `weights[i]` and `biases[i]` are views into
+it. `flat` is the network's own or a view into a larger vector: a
+`sac.SacAgent` lays out its five networks in one vector, and gradients,
+ADAM moments, Polyak averaging, cloning and checkpoints act on whole
+vectors aligned with it.
 """
 
 from __future__ import annotations
@@ -19,18 +20,27 @@ LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
 
 
+def param_count(sizes) -> int:
+    """Length of the `flat` vector of an `Mlp` with layer sizes `sizes`."""
+    return sum((fan_in + 1) * fan_out
+               for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+
+
 class Mlp:
-    def __init__(self, sizes, rng: np.random.Generator):
+    def __init__(self, sizes, rng: np.random.Generator | None = None,
+                 flat: np.ndarray | None = None):
+        """A network on `flat` (None: a new zero vector), which it keeps as
+        its parameters, not a copy. `rng`, when given, draws the weights,
+        uniform in +-1/sqrt(fan_in); the biases are left as they are."""
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
         self.sizes = list(sizes)
-        n_params = sum((fan_in + 1) * fan_out
-                       for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
-        self.flat = np.zeros(n_params)
+        self.flat = np.zeros(param_count(sizes)) if flat is None else flat
         self.weights, self.biases = self._layer_views(self.flat)
-        for w, fan_in in zip(self.weights, sizes[:-1]):
-            scale = 1.0 / np.sqrt(fan_in)
-            w[...] = rng.uniform(-scale, scale, w.shape)
+        if rng is not None:
+            for w, fan_in in zip(self.weights, sizes[:-1]):
+                scale = 1.0 / np.sqrt(fan_in)
+                w[...] = rng.uniform(-scale, scale, w.shape)
 
     def _layer_views(self, vec: np.ndarray):
         """Per-layer (weight, bias) views into a vector aligned with `flat`."""
@@ -52,11 +62,7 @@ class Mlp:
         return [p for wb in zip(self.weights, self.biases) for p in wb]
 
     def clone(self) -> "Mlp":
-        other = Mlp.__new__(Mlp)
-        other.sizes = list(self.sizes)
-        other.flat = self.flat.copy()
-        other.weights, other.biases = other._layer_views(other.flat)
-        return other
+        return Mlp(self.sizes, flat=self.flat.copy())
 
     # -- forward / backward --
 
@@ -105,10 +111,15 @@ class Mlp:
 
 
 class Adam:
-    """Bias-corrected adaptive-moment update of one parameter vector."""
+    """Bias-corrected adaptive-moment update of one parameter vector.
 
-    def __init__(self, params_like: np.ndarray, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    `lr` is a scalar or a vector aligned with the parameters, one rate per
+    element; each element's update is the same either way.
+    """
+
+    def __init__(self, params_like: np.ndarray, lr: float | np.ndarray,
+                 beta1: float = 0.9, beta2: float = 0.999,
+                 eps: float = 1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -149,12 +160,13 @@ class Adam:
         params -= a
 
 
-def soft_update(target: Mlp, online: Mlp, coefficient: float):
-    """Polyak averaging: target <- (1 - c) target + c online."""
-    if target.sizes != online.sizes:
-        raise ValueError("network shape mismatch")
-    target.flat *= (1.0 - coefficient)
-    target.flat += coefficient * online.flat
+def soft_update(target: np.ndarray, online: np.ndarray, coefficient: float):
+    """Polyak averaging of parameter vectors, in place:
+    target <- (1 - c) target + c online."""
+    if target.shape != online.shape:
+        raise ValueError("parameter shape mismatch")
+    target *= (1.0 - coefficient)
+    target += coefficient * online
 
 
 def squash_log_std(raw: np.ndarray) -> np.ndarray:

@@ -3,6 +3,12 @@
 Squashed-Gaussian policy, twin critics with Polyak-averaged targets, and
 ADAM updates computed from exact manual gradients. Rewards are scaled by a
 constant inside the learner only; buffers and traces keep raw values.
+
+Each agent keeps all its parameters in one vector, laid out as
+actor | q1 | q2 | tq1 | tq2, with one ADAM on the trained segment
+(actor | q1 | q2). Gradients, clones, checkpoints and the parameters
+meta-training sends to its workers are whole vectors; only this module
+knows the layout.
 """
 
 from __future__ import annotations
@@ -14,13 +20,11 @@ import numpy as np
 
 from .config import SystemConfig
 from .env import rollout
-from .nets import (Adam, Mlp, soft_update, squash_log_std,
+from .nets import (Adam, Mlp, param_count, soft_update, squash_log_std,
                    squash_log_std_grad)
 
 TANH_EPS = 1e-6
-CHECKPOINT_VERSION = 3
-NETS = ("actor", "q1", "q2", "tq1", "tq2")
-OPTIMIZERS = ("adam_actor", "adam_q1", "adam_q2")
+CHECKPOINT_VERSION = 4
 BUFFER_FIELDS = ("obs", "act", "rew", "next_obs", "done")
 INITIAL_ROWS = 256
 
@@ -153,29 +157,49 @@ def gaussian_policy_backward(actor: Mlp, fw: dict, grad_action: np.ndarray,
 
 
 class SacAgent:
+    """Squashed-Gaussian actor, twin critics and their Polyak targets.
+
+    `flat` holds every parameter, laid out as actor | q1 | q2 | tq1 | tq2;
+    the five `Mlp`s are views into it, and so are its segments `trained`
+    (actor | q1 | q2), `critics` (q1 | q2) and `targets` (tq1 | tq2). One
+    ADAM, `adam`, steps `trained`.
+    """
+
     def __init__(self, obs_dim: int, act_dim: int, cfg: SystemConfig,
                  seed: int = 0):
         self.cfg = cfg
         self.obs_dim = obs_dim
         self.act_dim = act_dim
         self.rng = np.random.default_rng(seed)
-        hidden = list(cfg.hidden_sizes)
-        self.actor = Mlp([obs_dim] + hidden + [2 * act_dim], self.rng)
-        self.q1 = Mlp([obs_dim + act_dim] + hidden + [1], self.rng)
-        self.q2 = Mlp([obs_dim + act_dim] + hidden + [1], self.rng)
-        self.tq1 = self.q1.clone()
-        self.tq2 = self.q2.clone()
-        self.reset_optimizers()
+        self._lay_out(None, rng=self.rng)
+        self.targets[:] = self.critics
 
-    def reset_optimizers(self, lr: float | None = None):
-        """Fresh ADAM state; one learning rate for all three, or the cfg's."""
+    def _lay_out(self, flat: np.ndarray | None, lr: float | None = None,
+                 rng: np.random.Generator | None = None):
+        """Make `flat` (None: a new zero vector) the parameters, laid out as
+        actor | q1 | q2 | tq1 | tq2, with a fresh ADAM on `trained` at
+        learning rate `lr` (None: the cfg's per-network rates, one per
+        element). `rng`, when given, draws the actor's, then q1's, then
+        q2's weights."""
         cfg = self.cfg
-        rates = ((cfg.lr_actor, cfg.lr_critic1, cfg.lr_critic2)
-                 if lr is None else (lr, lr, lr))
-        for name, net, rate in zip(OPTIMIZERS, (self.actor, self.q1, self.q2),
-                                   rates):
-            setattr(self, name, Adam(net.flat, rate, beta1=cfg.adam_beta1,
-                                     beta2=cfg.adam_beta2, eps=cfg.adam_eps))
+        actor = [self.obs_dim, *cfg.hidden_sizes, 2 * self.act_dim]
+        critic = [self.obs_dim + self.act_dim, *cfg.hidden_sizes, 1]
+        n_actor, n_critic = param_count(actor), param_count(critic)
+        n_trained = n_actor + 2 * n_critic
+        self.flat = (np.zeros(n_trained + 2 * n_critic) if flat is None
+                     else flat)
+        self.trained, self.targets = np.split(self.flat, [n_trained])
+        self.critics = self.trained[n_actor:]
+        self.actor = Mlp(actor, rng, self.trained[:n_actor])
+        self.q1, self.q2 = (Mlp(critic, rng, part)
+                            for part in np.split(self.critics, 2))
+        self.tq1, self.tq2 = (Mlp(critic, None, part)
+                              for part in np.split(self.targets, 2))
+        if lr is None:
+            lr = np.repeat([cfg.lr_actor, cfg.lr_critic1, cfg.lr_critic2],
+                           [n_actor, n_critic, n_critic])
+        self.adam = Adam(self.trained, lr, beta1=cfg.adam_beta1,
+                         beta2=cfg.adam_beta2, eps=cfg.adam_eps)
 
     # -- acting --
 
@@ -254,41 +278,43 @@ class SacAgent:
 
     # -- updates --
 
-    def apply_grads(self, ga, g1, g2):
-        """One ADAM step of each network, then the Polyak target update.
+    def apply_grads(self, g: np.ndarray):
+        """One ADAM step of `trained` on `g`, a gradient aligned with it,
+        then the Polyak update of `targets` toward `critics`.
 
-        Raises ValueError naming the network, before any network changes,
-        when a gradient holds NaN or inf.
+        Raises ValueError naming the first network whose part of `g` holds
+        NaN or inf, before any parameter changes.
         """
-        for name, g in (("actor", ga), ("q1", g1), ("q2", g2)):
-            if not np.isfinite(g).all():
-                raise ValueError(f"non-finite gradient for network {name}")
-        self.adam_q1.step(self.q1.flat, g1)
-        self.adam_q2.step(self.q2.flat, g2)
-        self.adam_actor.step(self.actor.flat, ga)
-        soft_update(self.tq1, self.q1, self.cfg.polyak)
-        soft_update(self.tq2, self.q2, self.cfg.polyak)
+        if not np.isfinite(g).all():
+            bad = np.flatnonzero(~np.isfinite(g))[0]
+            n_actor = self.actor.flat.size
+            name = ("actor" if bad < n_actor
+                    else ("q1", "q2")[(bad - n_actor) // self.q1.flat.size])
+            raise ValueError(f"non-finite gradient for network {name}")
+        self.adam.step(self.trained, g)
+        soft_update(self.targets, self.critics, self.cfg.polyak)
 
     def grads(self, batch: dict):
-        """(ga, g1, g2, losses): the actor's and both critics' gradients on
-        `batch` at the current parameters, and the three losses."""
+        """(g, losses): the gradient on `batch` at the current parameters,
+        aligned with `trained`, and the actor's and both critics' losses."""
         (g1, l1), (g2, l2) = self.critic_grads(batch)
         ga, la = self.actor_grads(batch)
-        return ga, g1, g2, {"actor": la, "critic1": l1, "critic2": l2}
+        return (np.concatenate([ga, g1, g2]),
+                {"actor": la, "critic1": l1, "critic2": l2})
 
     def update(self, batch: dict) -> dict:
         """One simultaneous SAC step on `grads`; its losses."""
-        ga, g1, g2, losses = self.grads(batch)
-        self.apply_grads(ga, g1, g2)
+        g, losses = self.grads(batch)
+        self.apply_grads(g)
         return losses
 
     # -- cloning and checkpoints --
 
     def clone(self, lr: float | None = None) -> "SacAgent":
-        """Deep copy of the networks with the same RNG state.
+        """Deep copy of the parameters with the same RNG state.
 
-        The ADAM states are not copied: the copy gets fresh ones from
-        `reset_optimizers(lr)`.
+        The ADAM state is not copied: the copy gets a fresh one at learning
+        rate `lr` (None: the cfg's).
         """
         other = SacAgent.__new__(SacAgent)
         other.cfg = self.cfg
@@ -296,18 +322,12 @@ class SacAgent:
         other.act_dim = self.act_dim
         other.rng = np.random.default_rng()
         other.rng.bit_generator.state = self.rng.bit_generator.state
-        for name in NETS:
-            setattr(other, name, getattr(self, name).clone())
-        other.reset_optimizers(lr)
+        other._lay_out(self.flat.copy(), lr)
         return other
 
     def save(self, path: str, extra: dict | None = None):
-        arrays = {name: getattr(self, name).flat for name in NETS}
-        for name in OPTIMIZERS:
-            adam = getattr(self, name)
-            arrays[f"{name}_t"] = np.array(adam.t)
-            arrays[f"{name}_m"] = adam.m
-            arrays[f"{name}_v"] = adam.v
+        arrays = {"flat": self.flat, "adam_t": np.array(self.adam.t),
+                  "adam_m": self.adam.m, "adam_v": self.adam.v}
         header = {"version": CHECKPOINT_VERSION, "obs_dim": self.obs_dim,
                   "act_dim": self.act_dim,
                   "hidden_sizes": list(self.cfg.hidden_sizes),
@@ -341,13 +361,10 @@ class SacAgent:
                 raise ValueError(f"checkpoint {key} {header[key]} does not "
                                  f"match the expected {want}")
         agent = cls(header["obs_dim"], header["act_dim"], cfg)
-        for name in NETS:
-            getattr(agent, name).flat[:] = arrays[name]
-        for name in OPTIMIZERS:
-            adam = getattr(agent, name)
-            adam.t = int(arrays[f"{name}_t"])
-            adam.m[:] = arrays[f"{name}_m"]
-            adam.v[:] = arrays[f"{name}_v"]
+        agent.flat[:] = arrays["flat"]
+        agent.adam.t = int(arrays["adam_t"])
+        agent.adam.m[:] = arrays["adam_m"]
+        agent.adam.v[:] = arrays["adam_v"]
         agent.rng.bit_generator.state = header["rng"]
         return agent
 

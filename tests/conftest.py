@@ -7,7 +7,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from uavlc import SystemConfig, Task, VlcUavEnv, sample_task
+from uavlc import SystemConfig, VlcUavEnv, sample_task
 
 
 def small_config(**overrides):

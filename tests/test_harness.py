@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import uavlc.harness as harness
-from uavlc import ExperimentSpec, GreedyPolicy, RandomPolicy, VlcUavEnv, evaluate
+from uavlc import ExperimentSpec, RandomPolicy, evaluate
 from uavlc.harness import (derive_seed, first_users, parallel_map,
                            run_experiment, worker_count)
 from uavlc.env import sample_task

@@ -1,4 +1,5 @@
-"""The learning loops against their earlier hand-written step loops.
+"""The learning loops and the SAC step against their earlier hand-written
+forms.
 
 `train_sac`, `MetaSac.meta_adapt` and `MetaSac.meta_train` once each wrote
 out their own reset/step/store loop; they now run `env.rollout` (the first
@@ -9,6 +10,13 @@ buffer rows and the RNG states, on a warm-up that spans several episodes.
 The first two are verbatim. `reference_meta_train` keeps its explicit step
 loop but draws from the keyed per-(iteration, task) streams `meta_train`
 took up when its tasks began to run in parallel.
+
+`SacAgent.apply_grads` once stepped each trained network with an ADAM of
+its own, at its own learning rate, and Polyak-averaged each target apart;
+it now makes one step of the agent's one parameter vector. The earlier
+step is kept as `reference_apply_grads`, with the optimizers it ran on
+(`reference_reset_optimizers`), and the train_sac test runs its reference
+loop on it.
 """
 
 import numpy as np
@@ -16,13 +24,50 @@ import pytest
 
 from uavlc import MetaSac, ReplayBuffer, SacAgent, sample_task, train_sac
 from uavlc.env import VlcUavEnv
-from uavlc.sac import NETS, learn_online
+from uavlc.nets import Adam, soft_update
+from uavlc.sac import learn_online
 
 from conftest import small_config
 
 # ---------------------------------------------------------------------------
-# the earlier loops, verbatim
+# the earlier loops and step, verbatim
 # ---------------------------------------------------------------------------
+
+OPTIMIZERS = ("adam_actor", "adam_q1", "adam_q2")
+
+
+def reference_reset_optimizers(self, lr: float | None = None):
+    """Fresh ADAM state; one learning rate for all three, or the cfg's."""
+    cfg = self.cfg
+    rates = ((cfg.lr_actor, cfg.lr_critic1, cfg.lr_critic2)
+             if lr is None else (lr, lr, lr))
+    for name, net, rate in zip(OPTIMIZERS, (self.actor, self.q1, self.q2),
+                               rates):
+        setattr(self, name, Adam(net.flat, rate, beta1=cfg.adam_beta1,
+                                 beta2=cfg.adam_beta2, eps=cfg.adam_eps))
+
+
+def reference_apply_grads(self, ga, g1, g2):
+    """One ADAM step of each network, then the Polyak target update.
+
+    Raises ValueError naming the network, before any network changes,
+    when a gradient holds NaN or inf.
+    """
+    for name, g in (("actor", ga), ("q1", g1), ("q2", g2)):
+        if not np.isfinite(g).all():
+            raise ValueError(f"non-finite gradient for network {name}")
+    self.adam_q1.step(self.q1.flat, g1)
+    self.adam_q2.step(self.q2.flat, g2)
+    self.adam_actor.step(self.actor.flat, ga)
+    soft_update(self.tq1.flat, self.q1.flat, self.cfg.polyak)
+    soft_update(self.tq2.flat, self.q2.flat, self.cfg.polyak)
+
+
+def reference_update(self, batch):
+    """`SacAgent.update` on `reference_apply_grads`."""
+    (g1, _), (g2, _) = self.critic_grads(batch)
+    ga, _ = self.actor_grads(batch)
+    reference_apply_grads(self, ga, g1, g2)
 
 
 def reference_train_sac(env, cfg, seed: int, episodes: int,
@@ -133,7 +178,7 @@ def reference_meta_train(self, task_sampler, iterations: int):
             losses["actor"] += la
             losses["critic1"] += l1
             losses["critic2"] += l2
-        self.agent.apply_grads(*sums)
+        self.agent.apply_grads(np.concatenate(sums))
         losses["iteration"] = it
         history.append(losses)
         self.iteration += 1
@@ -154,14 +199,23 @@ def make_env(cfg, seed=42):
     return VlcUavEnv(cfg, sample_task(cfg, np.random.default_rng(seed)))
 
 
+def optimizer_state(agent):
+    """(t, m, v) of the agent's ADAM; per-network ones (see
+    `reference_reset_optimizers`) joined in the order of `agent.trained`."""
+    if not hasattr(agent, "adam_actor"):
+        return agent.adam.t, agent.adam.m, agent.adam.v
+    adams = [getattr(agent, name) for name in OPTIMIZERS]
+    assert adams[0].t == adams[1].t == adams[2].t
+    return (adams[0].t, np.concatenate([adam.m for adam in adams]),
+            np.concatenate([adam.v for adam in adams]))
+
+
 def assert_same_agent(a, b):
-    for name in NETS:
-        assert np.array_equal(getattr(a, name).flat, getattr(b, name).flat)
-    for name in ("adam_actor", "adam_q1", "adam_q2"):
-        adam_a, adam_b = getattr(a, name), getattr(b, name)
-        assert adam_a.t == adam_b.t
-        assert np.array_equal(adam_a.m, adam_b.m)
-        assert np.array_equal(adam_a.v, adam_b.v)
+    assert np.array_equal(a.flat, b.flat)
+    (t_a, m_a, v_a), (t_b, m_b, v_b) = optimizer_state(a), optimizer_state(b)
+    assert t_a == t_b
+    assert np.array_equal(m_a, m_b)
+    assert np.array_equal(v_a, v_b)
     assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
 
@@ -171,13 +225,24 @@ def assert_same_buffer(a, b):
         assert np.array_equal(getattr(a, key), getattr(b, key))
 
 
-@pytest.mark.parametrize("seed", [0, 7])
-def test_train_sac_matches_reference_bitwise(seed):
-    cfg = learn_config()
-    agent, buf, returns = train_sac(make_env(cfg), cfg, seed=seed,
-                                    episodes=6)
+# each network at its own learning rate, and a Polyak coefficient other than
+# the default: a rate applied to another network's part fails the test
+DISTINCT_RATES = dict(lr_actor=2e-3, lr_critic1=7e-4, lr_critic2=1.3e-3,
+                      polyak=0.05)
+
+
+@pytest.mark.parametrize("seed, overrides",
+                         [(0, {}), (7, {}), (7, DISTINCT_RATES)],
+                         ids=["0", "7", "distinct-rates"])
+def test_train_sac_matches_reference_bitwise(seed, overrides, monkeypatch):
+    cfg = learn_config(**overrides)
+    env = make_env(cfg)
+    agent, buf, returns = train_sac(env, cfg, seed=seed, episodes=6)
+    ref_agent = SacAgent(env.obs_dim, env.action_dim, cfg, seed=seed)
+    reference_reset_optimizers(ref_agent)
+    monkeypatch.setattr(SacAgent, "update", reference_update)
     ref_agent, ref_buf, ref_returns = reference_train_sac(
-        make_env(cfg), cfg, seed=seed, episodes=6)
+        make_env(cfg), cfg, seed=seed, episodes=6, agent=ref_agent)
     assert returns == ref_returns
     assert_same_agent(agent, ref_agent)
     assert_same_buffer(buf, ref_buf)
@@ -220,7 +285,7 @@ def test_meta_train_matches_reference_bitwise():
     ref_history = reference_meta_train(
         ref, lambda rng=np.random.default_rng(6): sample_task(cfg, rng),
         iterations=3)
-    assert ref.agent.adam_actor.t == 3    # one outer step per iteration
+    assert ref.agent.adam.t == 3    # one outer step per iteration
     for workers in (1, 2):
         meta = MetaSac(cfg, probe.obs_dim, probe.action_dim, seed=5)
         task_rng = np.random.default_rng(6)

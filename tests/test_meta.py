@@ -9,7 +9,6 @@ import pytest
 
 from uavlc import MetaSac, ReplayBuffer, VlcUavEnv, sample_task
 from uavlc.harness import parallel_map, worker_count
-from uavlc.sac import NETS
 
 from conftest import small_config, time_limit
 
@@ -93,7 +92,7 @@ def test_meta_adapt_zero_episodes_returns_initialization():
     assert np.array_equal(agent.actor.flat.copy(),
                           meta.agent.actor.flat.copy())
     # fresh optimizer state for the adaptation phase
-    assert agent.adam_actor.t == 0
+    assert agent.adam.t == 0
 
 
 def test_meta_adapt_is_deterministic_and_leaves_global_fixed():
@@ -250,14 +249,11 @@ def test_meta_checkpoint_refuses_another_config(tmp_path):
 # ---------------------------------------------------------------------------
 
 def assert_same_meta(a, b):
-    for name in NETS:
-        assert np.array_equal(getattr(a.agent, name).flat,
-                              getattr(b.agent, name).flat), name
-    for name in ("adam_actor", "adam_q1", "adam_q2"):
-        adam_a, adam_b = getattr(a.agent, name), getattr(b.agent, name)
-        assert adam_a.t == adam_b.t
-        assert np.array_equal(adam_a.m, adam_b.m)
-        assert np.array_equal(adam_a.v, adam_b.v)
+    assert np.array_equal(a.agent.flat, b.agent.flat)
+    adam_a, adam_b = a.agent.adam, b.agent.adam
+    assert adam_a.t == adam_b.t
+    assert np.array_equal(adam_a.m, adam_b.m)
+    assert np.array_equal(adam_a.v, adam_b.v)
     assert a.agent.rng.bit_generator.state == b.agent.rng.bit_generator.state
     assert (a.seed, a.task_seeds, a.iteration) == (b.seed, b.task_seeds,
                                                    b.iteration)
@@ -318,16 +314,14 @@ def test_meta_train_raises_when_a_worker_dies(monkeypatch):
 
 def _train_in_pool(workers):
     meta, history = trained(workers)
-    return (os.getpid(), history,
-            [getattr(meta.agent, name).flat for name in NETS])
+    return os.getpid(), history, meta.agent.flat
 
 
 def test_meta_train_in_a_pool_worker_runs_in_that_worker():
     results = list(parallel_map(_train_in_pool, [2, 2], workers=2))
     meta, history = trained(workers=1)
-    for pid, pool_history, flats in results:
+    for pid, pool_history, flat in results:
         assert pool_history == history
-        for name, flat in zip(NETS, flats):
-            assert np.array_equal(flat, getattr(meta.agent, name).flat)
+        assert np.array_equal(flat, meta.agent.flat)
     if worker_count(2, 2) > 1:
         assert all(pid != os.getpid() for pid, _, _ in results)

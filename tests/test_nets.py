@@ -161,7 +161,7 @@ def test_soft_update_convex_combination():
     online = Mlp([2, 3, 1], rng)
     before = target.flat.copy()
     goal = online.flat.copy()
-    soft_update(target, online, 0.25)
+    soft_update(target.flat, online.flat, 0.25)
     assert np.allclose(target.flat.copy(), 0.75 * before + 0.25 * goal)
 
 

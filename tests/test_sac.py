@@ -322,15 +322,17 @@ def test_checkpoint_round_trip(tmp_path):
     agent, cfg = small_agent(seed=5)
     rng = np.random.default_rng(13)
     agent.update(make_batch(rng, 16, 5, 2))
+    agent.act(np.zeros(5))
     path = str(tmp_path / "agent.npz")
     agent.save(path)
     loaded = SacAgent.load(path, cfg)
-    for name in ("actor", "q1", "q2", "tq1", "tq2"):
-        assert np.array_equal(getattr(agent, name).flat.copy(),
-                              getattr(loaded, name).flat.copy())
-    assert loaded.adam_actor.t == agent.adam_actor.t
-    for m1, m2 in zip(agent.adam_q1.m, loaded.adam_q1.m):
-        assert np.array_equal(m1, m2)
+    assert loaded.flat.tobytes() == agent.flat.tobytes()
+    assert loaded.adam.t == agent.adam.t == 1
+    assert loaded.adam.m.tobytes() == agent.adam.m.tobytes()
+    assert loaded.adam.v.tobytes() == agent.adam.v.tobytes()
+    assert loaded.rng.bit_generator.state == agent.rng.bit_generator.state
+    obs = np.ones(5)
+    assert loaded.act(obs).tobytes() == agent.act(obs).tobytes()
 
 
 def test_loaded_agent_draws_the_same_next_action(tmp_path):
@@ -357,13 +359,15 @@ def test_checkpoint_refuses_other_shapes_and_versions(tmp_path):
     with np.load(path) as f:
         arrays = dict(f)
     header = json.loads(bytes(arrays["header"]).decode())
-    header["version"] = 1
-    arrays["header"] = np.frombuffer(json.dumps(header).encode(),
-                                     dtype=np.uint8)
-    old = str(tmp_path / "v1.npz")
-    np.savez(old, **arrays)
-    with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
-        SacAgent.load(old, cfg)
+    for version in (1, 3):
+        header["version"] = version
+        arrays["header"] = np.frombuffer(json.dumps(header).encode(),
+                                         dtype=np.uint8)
+        old = str(tmp_path / f"v{version}.npz")
+        np.savez(old, **arrays)
+        with pytest.raises(ValueError, match=f"unsupported checkpoint "
+                                             f"version {version}"):
+            SacAgent.load(old, cfg)
 
 
 def test_checkpoint_refuses_another_config(tmp_path):
@@ -383,12 +387,14 @@ def test_clone_builds_fresh_optimizers():
     for name in ("actor", "q1", "q2", "tq1", "tq2"):
         assert np.array_equal(getattr(agent, name).flat.copy(),
                               getattr(other, name).flat.copy())
-    for name in ("adam_actor", "adam_q1", "adam_q2"):
-        mine, fresh = getattr(agent, name), getattr(other, name)
-        assert mine.t == 1 and np.any(mine.m != 0.0)
-        assert fresh.t == 0 and fresh.lr == 0.25
-        assert not np.any(fresh.m) and not np.any(fresh.v)
-    assert other.clone().adam_q2.lr == cfg.lr_critic2
+    mine, fresh = agent.adam, other.adam
+    assert mine.t == 1 and np.any(mine.m != 0.0)
+    assert fresh.t == 0 and fresh.lr == 0.25
+    assert not np.any(fresh.m) and not np.any(fresh.v)
+    sizes = [agent.actor.flat.size, agent.q1.flat.size, agent.q2.flat.size]
+    assert np.array_equal(
+        other.clone().adam.lr,
+        np.repeat([cfg.lr_actor, cfg.lr_critic1, cfg.lr_critic2], sizes))
 
 
 def test_act_runs_the_actor_forward_once(monkeypatch):
@@ -431,19 +437,23 @@ def test_apply_grads_refuses_non_finite_gradients_untouched():
     agent, _ = small_agent(seed=6)
     nets = ("actor", "q1", "q2", "tq1", "tq2")
     before = {n: getattr(agent, n).flat.copy() for n in nets}
-    grads = [np.zeros_like(agent.actor.flat), np.zeros_like(agent.q1.flat),
-             np.zeros_like(agent.q2.flat)]
-    for i, name in enumerate(("actor", "q1", "q2")):
+    n_actor, n_q = agent.actor.flat.size, agent.q1.flat.size
+    # the first and last entries of each network's part, and two bad parts
+    cases = [([0], "actor"), ([n_actor - 1], "actor"), ([n_actor], "q1"),
+             ([n_actor + n_q - 1], "q1"), ([n_actor + n_q], "q2"),
+             ([n_actor + 2 * n_q - 1], "q2"), ([n_actor + 3, 3], "actor"),
+             ([n_actor + n_q + 3, n_actor + 3], "q1")]
+    for entries, name in cases:
         for bad in (np.nan, np.inf):
-            g = [x.copy() for x in grads]
-            g[i][3] = bad
+            g = np.zeros_like(agent.trained)
+            g[entries] = bad
             with pytest.raises(ValueError,
                                match=f"non-finite gradient for network "
-                                     f"{name}"):
-                agent.apply_grads(*g)
+                                     f"{name}$"):
+                agent.apply_grads(g)
     for n in nets:
         assert np.array_equal(getattr(agent, n).flat.copy(), before[n])
-    assert agent.adam_actor.t == agent.adam_q1.t == agent.adam_q2.t == 0
+    assert agent.adam.t == 0
 
 
 def test_update_refuses_a_nan_reward():
