@@ -14,6 +14,8 @@ vectors aligned with it.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 LOG_STD_MIN = -5.0
@@ -113,11 +115,13 @@ class Mlp:
 class Adam:
     """Bias-corrected adaptive-moment update of one parameter vector.
 
-    `lr` is a scalar or a vector aligned with the parameters, one rate per
-    element; each element's update is the same either way.
+    `lr` is one rate for every element, or (rate, length) pairs that cover
+    the vector in order, one rate per segment; each element's update is
+    the one a separate ADAM at its segment's rate would make.
     """
 
-    def __init__(self, params_like: np.ndarray, lr: float | np.ndarray,
+    def __init__(self, params_like: np.ndarray,
+                 lr: float | Sequence[tuple[float, int]],
                  beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
         self.lr = lr
@@ -130,6 +134,14 @@ class Adam:
         # scratch for the step's temporaries, so a step allocates nothing
         self._a = np.empty_like(params_like)
         self._b = np.empty_like(params_like)
+        rates = [(lr, params_like.size)] if np.ndim(lr) == 0 else lr
+        lengths = [n for _, n in rates]
+        if sum(lengths) != params_like.size:
+            raise ValueError("learning-rate segments do not cover the "
+                             "parameters")
+        parts = np.split(self._a, np.cumsum(lengths)[:-1])
+        # each rate with the view of `_a` it scales
+        self._rated = [(rate, part) for (rate, _), part in zip(rates, parts)]
 
     def step(self, params: np.ndarray, grads: np.ndarray):
         """Update `params` in place.
@@ -152,7 +164,8 @@ class Adam:
         a *= grads
         v += a
         np.divide(m, bc1, out=a)
-        np.multiply(self.lr, a, out=a)
+        for rate, part in self._rated:
+            part *= rate
         np.divide(v, bc2, out=b)
         np.sqrt(b, out=b)
         b += self.eps

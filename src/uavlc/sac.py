@@ -178,9 +178,9 @@ class SacAgent:
                  rng: np.random.Generator | None = None):
         """Make `flat` (None: a new zero vector) the parameters, laid out as
         actor | q1 | q2 | tq1 | tq2, with a fresh ADAM on `trained` at
-        learning rate `lr` (None: the cfg's per-network rates, one per
-        element). `rng`, when given, draws the actor's, then q1's, then
-        q2's weights."""
+        learning rate `lr` (None: the cfg's per-network rates, each on its
+        network's segment). `rng`, when given, draws the actor's, then
+        q1's, then q2's weights."""
         cfg = self.cfg
         actor = [self.obs_dim, *cfg.hidden_sizes, 2 * self.act_dim]
         critic = [self.obs_dim + self.act_dim, *cfg.hidden_sizes, 1]
@@ -196,8 +196,8 @@ class SacAgent:
         self.tq1, self.tq2 = (Mlp(critic, None, part)
                               for part in np.split(self.targets, 2))
         if lr is None:
-            lr = np.repeat([cfg.lr_actor, cfg.lr_critic1, cfg.lr_critic2],
-                           [n_actor, n_critic, n_critic])
+            lr = ((cfg.lr_actor, n_actor), (cfg.lr_critic1, n_critic),
+                  (cfg.lr_critic2, n_critic))
         self.adam = Adam(self.trained, lr, beta1=cfg.adam_beta1,
                          beta2=cfg.adam_beta2, eps=cfg.adam_eps)
 

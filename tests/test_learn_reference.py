@@ -15,8 +15,9 @@ took up when its tasks began to run in parallel.
 its own, at its own learning rate, and Polyak-averaged each target apart;
 it now makes one step of the agent's one parameter vector. The earlier
 step is kept as `reference_apply_grads`, with the optimizers it ran on
-(`reference_reset_optimizers`), and the train_sac test runs its reference
-loop on it.
+(`reference_reset_optimizers`), and the train_sac and meta_adapt tests run
+their reference loops on it, also with a different rate for each network
+(`DISTINCT_RATES`).
 """
 
 import numpy as np
@@ -249,15 +250,30 @@ def test_train_sac_matches_reference_bitwise(seed, overrides, monkeypatch):
     assert ref_agent.adam_actor.t > 0     # the comparison covers updates
 
 
-@pytest.mark.parametrize("episodes", [0, 1, 5])
-def test_meta_adapt_matches_reference_bitwise(episodes):
-    cfg = learn_config()
+@pytest.mark.parametrize("episodes, overrides",
+                         [(0, {}), (1, {}), (5, {}), (5, DISTINCT_RATES)],
+                         ids=["0", "1", "5", "5-distinct-rates"])
+def test_meta_adapt_matches_reference_bitwise(episodes, overrides,
+                                              monkeypatch):
+    cfg = learn_config(**overrides)
     env = make_env(cfg)
     meta = MetaSac(cfg, env.obs_dim, env.action_dim, seed=3)
     task = sample_task(cfg, np.random.default_rng(4))
     adapted = meta.meta_adapt(task, episodes, seed=9)
+    # the copy reference_meta_adapt makes steps on the per-network optimizers
+    clone = SacAgent.clone
+
+    def reference_clone(self, lr=None):
+        other = clone(self, lr)
+        reference_reset_optimizers(other, lr)
+        return other
+
+    monkeypatch.setattr(SacAgent, "clone", reference_clone)
+    monkeypatch.setattr(SacAgent, "update", reference_update)
     ref = reference_meta_adapt(meta, task, episodes, seed=9)
     assert_same_agent(adapted, ref)
+    if episodes == 5:
+        assert ref.adam_actor.t > 0     # the comparison covers updates
 
 
 def test_learn_online_without_warmup_matches_reference_bitwise():

@@ -5,12 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from uavlc import ReplayBuffer, SacAgent, rollout, train_sac
+from uavlc import (MetaSac, ReplayBuffer, SacAgent, VlcUavEnv, rollout,
+                   sample_task, train_sac)
 from uavlc.baselines import RandomPolicy
-from uavlc.nets import Mlp
+from uavlc.nets import Adam, Mlp
 from uavlc.sac import INITIAL_ROWS, gaussian_policy_forward
 
 from conftest import small_config
+from test_learn_reference import DISTINCT_RATES
 
 
 def make_batch(rng, n, obs_dim, act_dim):
@@ -21,8 +23,8 @@ def make_batch(rng, n, obs_dim, act_dim):
             "done": rng.integers(0, 2, n).astype(float)}
 
 
-def small_agent(seed, obs_dim=5, act_dim=2):
-    cfg = small_config(hidden_sizes=(16,))
+def small_agent(seed, obs_dim=5, act_dim=2, **overrides):
+    cfg = small_config(hidden_sizes=(16,), **overrides)
     return SacAgent(obs_dim, act_dim, cfg, seed=seed), cfg
 
 
@@ -319,7 +321,9 @@ def test_clone_is_deep_and_rng_synchronized():
 
 
 def test_checkpoint_round_trip(tmp_path):
-    agent, cfg = small_agent(seed=5)
+    # each network at its own rate: the restored ADAM must step each part
+    # at the rate the unsaved one does
+    agent, cfg = small_agent(seed=5, **DISTINCT_RATES)
     rng = np.random.default_rng(13)
     agent.update(make_batch(rng, 16, 5, 2))
     agent.act(np.zeros(5))
@@ -333,6 +337,12 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.rng.bit_generator.state == agent.rng.bit_generator.state
     obs = np.ones(5)
     assert loaded.act(obs).tobytes() == agent.act(obs).tobytes()
+    batch = make_batch(rng, 16, 5, 2)
+    agent.update(batch)
+    loaded.update(batch)
+    assert loaded.flat.tobytes() == agent.flat.tobytes()
+    assert loaded.adam.m.tobytes() == agent.adam.m.tobytes()
+    assert loaded.adam.v.tobytes() == agent.adam.v.tobytes()
 
 
 def test_loaded_agent_draws_the_same_next_action(tmp_path):
@@ -381,7 +391,7 @@ def test_checkpoint_refuses_another_config(tmp_path):
 
 
 def test_clone_builds_fresh_optimizers():
-    agent, cfg = small_agent(seed=6)
+    agent, cfg = small_agent(seed=6, **DISTINCT_RATES)
     agent.update(make_batch(np.random.default_rng(2), 16, 5, 2))
     other = agent.clone(lr=0.25)
     for name in ("actor", "q1", "q2", "tq1", "tq2"):
@@ -391,10 +401,48 @@ def test_clone_builds_fresh_optimizers():
     assert mine.t == 1 and np.any(mine.m != 0.0)
     assert fresh.t == 0 and fresh.lr == 0.25
     assert not np.any(fresh.m) and not np.any(fresh.v)
-    sizes = [agent.actor.flat.size, agent.q1.flat.size, agent.q2.flat.size]
-    assert np.array_equal(
-        other.clone().adam.lr,
-        np.repeat([cfg.lr_actor, cfg.lr_critic1, cfg.lr_critic2], sizes))
+    n_actor, n_critic = agent.actor.flat.size, agent.q1.flat.size
+    assert other.clone().adam.lr == ((cfg.lr_actor, n_actor),
+                                     (cfg.lr_critic1, n_critic),
+                                     (cfg.lr_critic2, n_critic))
+
+
+def owned_arrays(agent):
+    """The arrays reachable from the agent, its networks and its ADAM that
+    own their memory (views are left out), by id."""
+    found = {}
+
+    def walk(value):
+        if isinstance(value, np.ndarray):
+            if value.base is None:
+                found[id(value)] = value
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                walk(item)
+        elif isinstance(value, (Mlp, Adam)):
+            walk(list(vars(value).values()))
+
+    walk(list(vars(agent).values()))
+    return found
+
+
+def test_every_agent_owns_its_vector_and_four_adam_arrays_only(tmp_path):
+    # one parameter vector, ADAM's moments and its two step scratches, and
+    # no other array: the per-network rates are scalars
+    agent, cfg = small_agent(seed=11, **DISTINCT_RATES)
+    path = str(tmp_path / "agent.npz")
+    agent.save(path)
+    env = VlcUavEnv(cfg, sample_task(cfg, np.random.default_rng(3)))
+    meta = MetaSac(cfg, env.obs_dim, env.action_dim, seed=3)
+    adapted = meta.meta_adapt(env.task, 4, seed=2)
+    assert adapted.adam.t > 0
+    for each in (agent, agent.clone(), agent.clone(lr=0.25),
+                 SacAgent.load(path, cfg), adapted):
+        adam = each.adam
+        assert owned_arrays(each).keys() == {
+            id(a) for a in (each.flat, adam.m, adam.v, adam._a, adam._b)}
+        for a in (adam.m, adam.v, adam._a, adam._b):
+            assert a.shape == each.trained.shape
 
 
 def test_act_runs_the_actor_forward_once(monkeypatch):
