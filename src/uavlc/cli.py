@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from .baselines import GreedyPolicy, RandomPolicy
+from . import harness
 from .config import load_config
 from .env import VlcUavEnv, rollout, sample_task
 from .harness import (BUDGETS, SCHEMES, SWEEP_VARS, ExperimentSpec,
@@ -22,7 +22,7 @@ from .procs import worker_count
 from .sac import SacAgent, train_sac
 
 
-POLICIES = ("greedy", "random", "agent")     # --scheme of simulate and eval
+POLICIES = (*harness.POLICIES, "agent")     # --scheme of simulate and eval
 
 
 class UsageError(Exception):
@@ -70,10 +70,8 @@ def _task_for(cfg, seed):
 
 def _policy_for(args, env):
     """The policy `--scheme` names; `agent` loads `--checkpoint`."""
-    if args.scheme == "greedy":
-        return GreedyPolicy(env)
-    if args.scheme == "random":
-        return RandomPolicy(env, seed=args.seed)
+    if args.scheme in harness.POLICIES:
+        return harness.POLICIES[args.scheme](env, args.seed)
     try:
         agent = SacAgent.load(args.checkpoint, env.cfg, env.obs_dim,
                               env.action_dim)
@@ -274,9 +272,11 @@ def main(argv=None):
     p.set_defaults(func=cmd_check)
 
     args = parser.parse_args(argv)
-    if getattr(args, "scheme", None) == "agent" and args.checkpoint is None:
-        parser.error(f"{args.command} --scheme agent needs --checkpoint")
     try:
+        if args.command in ("simulate", "eval") and (
+                (args.scheme == "agent") != (args.checkpoint is not None)):
+            need = "needs" if args.scheme == "agent" else "takes no"
+            raise UsageError(f"--scheme {args.scheme} {need} --checkpoint")
         args.func(args)
     except UsageError as err:
         parser.exit(2, f"{parser.prog} {args.command}: error: {err}\n")

@@ -111,6 +111,9 @@ class VlcUavEnv:
     """Single-UAV VLC environment; one instance per thread."""
 
     def __init__(self, cfg: SystemConfig, task: Task):
+        if len(task.user_positions) != cfg.n_users:  # cfg sizes obs, report
+            raise ValueError(f"task has {len(task.user_positions)} users but "
+                             f"the config's n_users is {cfg.n_users}")
         self.cfg = cfg
         self.task = task
         self.optics = cfg.optics()

@@ -45,7 +45,10 @@ from .sac import SacAgent, train_sac
 
 SWEEP_VARS = {"K": "n_users", "P_max": "p_max", "R_min": "r_min",
               "N": "n_leds"}
-SCHEMES = ("meta-sac", "sac", "greedy", "random")
+# the schemes that train nothing: name -> policy(env, seed)
+POLICIES = {"greedy": lambda env, seed: GreedyPolicy(env),
+            "random": RandomPolicy}
+SCHEMES = ("meta-sac", "sac", *POLICIES)
 _COUNTS = ("n_users", "n_leds")     # swept as ints
 
 
@@ -216,24 +219,19 @@ def run_scheme(scheme: str, cfg: SystemConfig, task: Task, seed: int,
                spec: ExperimentSpec,
                meta: MetaSac | None = None) -> dict:
     env = VlcUavEnv(cfg, task)
-    if scheme == "random":
-        policy = RandomPolicy(env, seed=derive_seed("random", seed))
-        return evaluate(env, policy, spec.eval_episodes, seed)
-    if scheme == "greedy":
-        return evaluate(env, GreedyPolicy(env), spec.eval_episodes, seed)
-    if scheme == "sac":
-        agent, _, _ = train_sac(env, cfg, seed=derive_seed("sac", seed),
-                                episodes=spec.train_episodes)
-        return evaluate(env, make_agent_policy(agent), spec.eval_episodes,
-                        seed)
-    if scheme == "meta-sac":
+    if scheme in POLICIES:
+        policy = POLICIES[scheme](env, derive_seed(scheme, seed))
+    elif scheme == "sac":
+        policy = make_agent_policy(train_sac(
+            env, cfg, derive_seed("sac", seed), spec.train_episodes)[0])
+    elif scheme == "meta-sac":
         if meta is None:
             raise ValueError("meta-sac requires a meta-trained state")
-        agent = meta.meta_adapt(task, spec.adapt_episodes,
-                                seed=derive_seed("adapt", seed))
-        return evaluate(env, make_agent_policy(agent), spec.eval_episodes,
-                        seed)
-    raise ValueError(f"unknown scheme {scheme!r}")
+        policy = make_agent_policy(meta.meta_adapt(
+            task, spec.adapt_episodes, seed=derive_seed("adapt", seed)))
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return evaluate(env, policy, spec.eval_episodes, seed)
 
 
 def meta_train_for(cfg: SystemConfig, seed: int, task_seed: int,

@@ -28,25 +28,20 @@ from contextlib import contextmanager
 import numpy as np
 
 from .config import SystemConfig
-from .env import Task, VlcUavEnv, rollout
+from .env import Task, VlcUavEnv
 from .procs import fork_context, forked, receive, value
-from .sac import (ReplayBuffer, SacAgent, learn_online, read_checkpoint,
-                  require_split)
+from .sac import (ReplayBuffer, SacAgent, collect, learn_online,
+                  read_checkpoint, require_split)
 
 TASK_STREAM, AGENT_STREAM = 7, 9      # key parts of a unit's two generators
 
 
 def require_meta_trainable(cfg: SystemConfig):
-    """Refuse (ValueError) a config meta-training cannot run: one whose
-    first iteration leaves a task buffer too small to split into support
-    and query sets, or one whose warm-up outlasts a full task buffer. Both
-    read the config alone, so callers check before they write anything."""
+    """Refuse (ValueError) a config whose first meta-training iteration
+    leaves a task buffer too small to split into support and query sets;
+    it reads the config alone, so callers check before they write."""
     require_split(min(cfg.buffer_capacity,
                       cfg.n_slots * cfg.episodes_per_task))
-    if cfg.warmup_steps > cfg.buffer_capacity:    # would never end
-        raise ValueError(f"warmup_steps {cfg.warmup_steps} exceeds "
-                         f"buffer_capacity {cfg.buffer_capacity}, the "
-                         f"most rows a task buffer holds")
 
 
 class MetaSac:
@@ -130,15 +125,9 @@ class MetaSac:
         rng = np.random.default_rng([self.seed, TASK_STREAM, it, k])
         adapted = self.agent.clone(lr=cfg.lr_inner)
         adapted.rng = np.random.default_rng([self.seed, AGENT_STREAM, it, k])
-
-        def policy(obs):
-            # buf.size: the warm-up spans iterations, as buf does
-            if buf.size < cfg.warmup_steps:
-                return rng.uniform(-1.0, 1.0, env.action_dim)
-            return adapted.act(obs)
-
-        for _ in range(cfg.episodes_per_task):
-            rollout(env, policy, int(rng.integers(2**31)), buf.store)
+        # buf lives across iterations, and so does its warm-up
+        collect(env, adapted, buf, rng, cfg.episodes_per_task,
+                cfg.warmup_steps)
         support_idx, query_idx = buf.split_indices(cfg.support_fraction, rng)
         self.inner_adapt(adapted, buf, support_idx, cfg.inner_steps, rng)
         return adapted.grads(buf.sample(cfg.batch_size, rng, query_idx))

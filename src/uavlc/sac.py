@@ -32,10 +32,11 @@ INITIAL_ROWS = 256
 class ReplayBuffer:
     """Uniform ring buffer of transitions; batches sample without replacement.
 
+    `taken` counts the rows ever added; `size`, the rows stored, is
+    min(`taken`, `capacity`), and row `taken` goes to slot `taken % capacity`.
     Storage starts at min(`capacity`, `INITIAL_ROWS`) rows and doubles, up
-    to `capacity`, whenever a row arrives with every row taken. The ring
-    wraps only once `capacity` rows are stored, so rows, ring position and
-    every index drawn depend on `size` alone, never on the storage length.
+    to `capacity`, whenever a row arrives with every row taken, so rows and
+    every index drawn depend on `taken` alone, never on the storage length.
     """
 
     def __init__(self, capacity: int, obs_dim: int, act_dim: int):
@@ -46,14 +47,15 @@ class ReplayBuffer:
         self.rew = np.zeros(rows)
         self.next_obs = np.zeros((rows, obs_dim))
         self.done = np.zeros(rows)
-        self.size = 0
-        self._pos = 0
+        self.taken = 0
 
     def __len__(self) -> int:
-        return self.size
+        return min(self.taken, self.capacity)
+
+    size = property(__len__)
 
     def add(self, obs, act, rew, next_obs, done):
-        i = self._pos
+        i = self.taken % self.capacity
         if i == len(self.rew):
             self._grow()
         self.obs[i] = obs
@@ -61,8 +63,7 @@ class ReplayBuffer:
         self.rew[i] = rew
         self.next_obs[i] = next_obs
         self.done[i] = float(done)
-        self._pos = (i + 1) % self.capacity
-        self.size = min(self.size + 1, self.capacity)
+        self.taken += 1
 
     def _grow(self):
         rows = min(self.capacity, 2 * len(self.rew))
@@ -337,7 +338,8 @@ class SacAgent:
             header["extra"] = extra
         arrays["header"] = np.frombuffer(
             json.dumps(header, sort_keys=True).encode(), dtype=np.uint8)
-        np.savez(path, **arrays)
+        with open(path, "wb") as f:     # a str path would gain ".npz"
+            np.savez(f, **arrays)
 
     @classmethod
     def load(cls, path: str, cfg: SystemConfig, obs_dim: int | None = None,
@@ -380,34 +382,39 @@ def read_checkpoint(path: str) -> tuple[dict, dict]:
     return arrays, header
 
 
-def learn_online(env, agent: SacAgent, rng: np.random.Generator,
-                 episodes: int, warmup_steps: int):
-    """Online SAC on `env`: roll `episodes` episodes into a fresh buffer.
+def collect(env, agent: SacAgent, buffer: ReplayBuffer,
+            rng: np.random.Generator, episodes: int, warmup_steps: int,
+            on_step=None) -> list[float]:
+    """Roll `episodes` episodes of `env` into `buffer`; their returns.
 
-    Episode seeds come from `rng`, and so do the uniform random actions of
-    the first `warmup_steps` steps; after those, the agent acts. Once the
-    buffer holds a batch and the warm-up is over, every step makes one
-    update. Returns the buffer and the per-episode returns.
+    Episode seeds come from `rng`, and so do uniform random actions until
+    `buffer` has taken `warmup_steps` rows; then `agent` acts. Each
+    transition goes to `on_step` (None: `buffer.store`), which stores it.
     """
-    cfg = agent.cfg
-    buffer = ReplayBuffer(cfg.buffer_capacity, env.obs_dim, env.action_dim)
-    steps = 0
-
     def policy(obs):
-        if steps < warmup_steps:
+        if buffer.taken < warmup_steps:
             return rng.uniform(-1.0, 1.0, env.action_dim)
         return agent.act(obs)
 
+    return [rollout(env, policy, int(rng.integers(2**31)),
+                    on_step or buffer.store) for _ in range(episodes)]
+
+
+def learn_online(env, agent: SacAgent, rng: np.random.Generator,
+                 episodes: int, warmup_steps: int):
+    """Online SAC on `env`: `collect` into a fresh buffer, with one update
+    per step once it holds a batch and the warm-up is over; (buffer,
+    per-episode returns)."""
+    cfg = agent.cfg
+    buffer = ReplayBuffer(cfg.buffer_capacity, env.obs_dim, env.action_dim)
+
     def learn(tr):
-        nonlocal steps
         buffer.store(tr)
-        steps += 1
-        if len(buffer) >= cfg.batch_size and steps >= warmup_steps:
+        if len(buffer) >= cfg.batch_size and buffer.taken >= warmup_steps:
             agent.update(buffer.sample(cfg.batch_size, agent.rng))
 
-    returns = [rollout(env, policy, int(rng.integers(2**31)), learn)
-               for _ in range(episodes)]
-    return buffer, returns
+    return buffer, collect(env, agent, buffer, rng, episodes, warmup_steps,
+                           learn)
 
 
 def train_sac(env, cfg: SystemConfig, seed: int, episodes: int):

@@ -82,6 +82,44 @@ def test_meta_train_and_adapt_round_trip(cfg_path, tmp_path, capsys):
     assert "meta-trained 1 iterations" in capsys.readouterr().out
 
 
+def test_checkpoints_are_written_to_the_path_given(cfg_path, tmp_path,
+                                                  capsys):
+    # np.savez appends ".npz" to a file name without it
+    agent_ckpt, meta_ckpt = tmp_path / "agent.ckpt", tmp_path / "meta.ckpt"
+    adapted_ckpt = tmp_path / "adapted.ckpt"
+    main(["train", "--config", cfg_path, "--seed", "2", "--episodes", "2",
+          "--out", str(agent_ckpt)])
+    main(["eval", "--config", cfg_path, "--seed", "2", "--scheme", "agent",
+          "--checkpoint", str(agent_ckpt), "--episodes", "1"])
+    main(["meta-train", "--config", cfg_path, "--seed", "3",
+          "--iterations", "1", "--workers", "1", "--out", str(meta_ckpt)])
+    main(["adapt", "--config", cfg_path, "--seed", "3", "--episodes", "1",
+          "--checkpoint", str(meta_ckpt), "--out", str(adapted_ckpt)])
+    out = capsys.readouterr().out
+    for ckpt in (agent_ckpt, meta_ckpt, adapted_ckpt):
+        assert f"checkpoint -> {ckpt}\n" in out
+    assert "mean_p_tot" in out
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "adapted.ckpt", "agent.ckpt", "cfg.yaml", "meta.ckpt"]
+
+
+@pytest.mark.parametrize("scheme", ["greedy", "random"])
+@pytest.mark.parametrize("command", ["eval", "simulate"])
+def test_fixed_scheme_with_a_checkpoint_is_a_one_line_usage_error(
+        cfg_path, tmp_path, capsys, command, scheme):
+    out = tmp_path / "trace.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--config", cfg_path, "--scheme", scheme,
+              "--checkpoint", str(tmp_path / "none.npz")]
+             + (["--out", str(out)] if command == "simulate" else []))
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"uavlc {command}: error: --scheme {scheme} takes no --checkpoint"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [
     ["eval"], ["eval", "--scheme", "agent"],
     ["simulate", "--scheme", "agent", "--out", "unused.csv"]])
@@ -430,13 +468,10 @@ def test_result_file_that_cannot_be_opened_is_a_one_line_usage_error(
 
 
 @pytest.mark.parametrize("lines, message", [
-    (["buffer_capacity: 100", "warmup_steps: 200"],
-     "warmup_steps 200 exceeds buffer_capacity 100, the most rows a task "
-     "buffer holds"),
     (["buffer_capacity: 1", "batch_size: 1", "warmup_steps: 0"],
      "cannot split a buffer of 1 rows into support and query sets; need at "
      "least 2"),
-], ids=["warmup-past-buffer", "buffer-too-small-to-split"])
+], ids=["buffer-too-small-to-split"])
 @pytest.mark.parametrize("command", [
     ["meta-train", "--iterations", "1"],
     ["sweep", "--var", "K", "--values", "2", "--scheme", "meta-sac",

@@ -207,3 +207,12 @@ def test_task_starts_and_greedy_targets_lie_in_the_one_start_box(cfg):
         on_edge += bool(np.any(target == lo) or np.any(target == hi))
     # the greedy clips its hover point onto the box it shares with tasks
     assert on_edge > 0
+
+
+@pytest.mark.parametrize("observe_pose", [True, False])
+def test_env_refuses_a_task_of_another_user_count(observe_pose):
+    cfg = small_config(n_users=3, observe_pose=observe_pose)
+    task = sample_task(small_config(n_users=2), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="task has 2 users but the "
+                                         "config's n_users is 3"):
+        VlcUavEnv(cfg, task)

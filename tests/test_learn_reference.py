@@ -2,14 +2,24 @@
 forms.
 
 `train_sac`, `MetaSac.meta_adapt` and `MetaSac.meta_train` once each wrote
-out their own reset/step/store loop; they now run `env.rollout` (the first
-two through `sac.learn_online`). The earlier loops are kept below (renamed
-`reference_*`, methods as functions of the `MetaSac`), and every test
-asserts exact equality with them: returns, network parameters, replay
-buffer rows and the RNG states, on a warm-up that spans several episodes.
-The first two are verbatim. `reference_meta_train` keeps its explicit step
-loop but draws from the keyed per-(iteration, task) streams `meta_train`
-took up when its tasks began to run in parallel.
+out their own reset/step/store loop; they now run one loop, `sac.collect`
+(the first two through `sac.learn_online`), which takes uniform actions
+until its buffer has taken `warmup_steps` rows and then lets the agent
+act. The earlier loops are kept below (renamed `reference_*`, methods as
+functions of the `MetaSac`), and every test asserts exact equality with
+them: returns, network parameters, replay buffer rows and the RNG states,
+on a warm-up that spans several episodes. The first two are verbatim.
+`reference_meta_train` keeps its explicit step loop but draws from the
+keyed per-(iteration, task) streams `meta_train` took up when its tasks
+began to run in parallel.
+
+`reference_train_sac` counts its warm-up in steps, which are the rows its
+fresh buffer has taken, so it agrees with `collect` on every config; the
+train_sac test has a case with `warmup_steps` above `buffer_capacity`
+(`warmup-past-buffer`). `reference_meta_train` counts stored rows, which
+equal the rows taken until the ring wraps, so it agrees wherever
+`warmup_steps` is at most `buffer_capacity`, the configs meta-training
+accepted when it counted stored rows.
 
 `SacAgent.apply_grads` once stepped each trained network with an ADAM of
 its own, at its own learning rate, and Polyak-averaged each target apart;
@@ -193,7 +203,7 @@ def reference_meta_train(self, task_sampler, iterations: int):
 # 5 slots per episode: the 12-step warm-up ends inside the third episode,
 # and with an 8-row batch it is the warm-up that holds the first update back
 def learn_config(**overrides):
-    return small_config(warmup_steps=12, batch_size=8, **overrides)
+    return small_config(**{"warmup_steps": 12, "batch_size": 8, **overrides})
 
 
 def make_env(cfg, seed=42):
@@ -221,7 +231,7 @@ def assert_same_agent(a, b):
 
 
 def assert_same_buffer(a, b):
-    assert (a.size, a._pos) == (b.size, b._pos)
+    assert (a.size, a.taken) == (b.size, b.taken)
     for key in ("obs", "act", "rew", "next_obs", "done"):
         assert np.array_equal(getattr(a, key), getattr(b, key))
 
@@ -232,9 +242,16 @@ DISTINCT_RATES = dict(lr_actor=2e-3, lr_critic1=7e-4, lr_critic2=1.3e-3,
                       polyak=0.05)
 
 
+# a warm-up of 25 steps into a 20-row buffer: the ring wraps before the
+# agent first acts, at step 25 of the run's 30
+WARMUP_PAST_BUFFER = dict(warmup_steps=25, buffer_capacity=20)
+
+
 @pytest.mark.parametrize("seed, overrides",
-                         [(0, {}), (7, {}), (7, DISTINCT_RATES)],
-                         ids=["0", "7", "distinct-rates"])
+                         [(0, {}), (7, {}), (7, DISTINCT_RATES),
+                          (7, WARMUP_PAST_BUFFER)],
+                         ids=["0", "7", "distinct-rates",
+                              "warmup-past-buffer"])
 def test_train_sac_matches_reference_bitwise(seed, overrides, monkeypatch):
     cfg = learn_config(**overrides)
     env = make_env(cfg)

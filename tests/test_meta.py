@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from uavlc import MetaSac, ReplayBuffer, VlcUavEnv, sample_task
+from uavlc import MetaSac, ReplayBuffer, SacAgent, VlcUavEnv, sample_task
 from uavlc.harness import parallel_map, worker_count
 
 from conftest import small_config, time_limit
@@ -140,24 +140,25 @@ def test_meta_train_refuses_unsplittable_buffers_before_any_step(
     assert steps == [] and meta.iteration == 0
 
 
-def test_meta_train_refuses_a_warmup_longer_than_the_buffer():
-    # a task buffer never holds more rows than its capacity, so the
-    # warm-up would never end and the agent would never act
-    cfg, probe, meta = meta_setup(buffer_capacity=20, warmup_steps=50)
-    sampled = []
+def test_meta_train_warms_up_past_a_full_buffer(monkeypatch):
+    # each task takes 5 rows per iteration into a 20-row buffer, which
+    # wraps in the fifth iteration; the 25-row warm-up ends after it, and
+    # from then on the units act
+    cfg, probe, meta = meta_setup(buffer_capacity=20, warmup_steps=25)
+    acted = []
+    real_act = SacAgent.act
 
-    def sampler():
-        sampled.append(1)
-        return sample_task(cfg, np.random.default_rng(6))
+    def act(agent, obs, deterministic=False):
+        acted.append(meta.iteration)
+        return real_act(agent, obs, deterministic)
 
-    with pytest.raises(ValueError, match="warmup_steps 50 exceeds "
-                                         "buffer_capacity 20"):
-        meta.meta_train(sampler, iterations=1)
-    assert sampled == [] and meta.iteration == 0
-    cfg, probe, meta = meta_setup(buffer_capacity=20, warmup_steps=20)
+    monkeypatch.setattr(SacAgent, "act", act)
     rng = np.random.default_rng(6)
-    assert len(meta.meta_train(lambda: sample_task(cfg, rng), iterations=1,
-                               workers=1)) == 1
+    # the patch lives in this process
+    history = meta.meta_train(lambda: sample_task(cfg, rng), iterations=7,
+                              workers=1)
+    assert len(history) == 7
+    assert acted == [5] * 10 + [6] * 10
 
 
 def test_meta_train_holds_one_adapted_agent_at_a_time(monkeypatch):

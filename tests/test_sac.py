@@ -222,7 +222,8 @@ def test_growing_buffer_equals_full_capacity_buffer_bitwise():
                data_rng.standard_normal(3), n % 7 == 0)
         buf.add(*row)
         ref.add(*row)
-        assert (buf.size, buf._pos) == (ref.size, ref._pos)
+        assert (buf.taken, buf.size, buf.taken % capacity) == (
+            n, ref.size, ref._pos)
         if n % 97 and n not in checked:
             continue
         for key in ("obs", "act", "rew", "next_obs", "done"):
@@ -237,7 +238,7 @@ def test_growing_buffer_equals_full_capacity_buffer_bitwise():
             for part, ref_part in zip(buf.split_indices(0.8, rng),
                                       ref.split_indices(0.8, ref_rng)):
                 assert np.array_equal(part, ref_part)
-    assert buf._pos != 0 and buf.size == capacity     # the ring wrapped
+    assert buf.taken % capacity != 0 and buf.size == capacity   # wrapped
 
 
 def test_buffer_storage_grows_by_doubling_up_to_capacity():
